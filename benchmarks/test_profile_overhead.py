@@ -6,7 +6,7 @@ disabled (the default) and enabled, several interleaved repetitions
 each, and records both medians in
 ``benchmarks/results/profile_overhead.txt``.
 
-With the profiler disabled every guarded stage (route-memo resolution,
+With the profiler disabled every guarded stage (cold-trial resolution,
 cached replay, kernel batches, pool dispatch) reduces to one attribute
 read plus returning the shared null stage — no histogram lookup, no
 clock read — so the disabled sweep must stay within noise of the

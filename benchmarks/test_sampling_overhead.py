@@ -2,8 +2,8 @@
 
 ``test_observe_overhead`` guards the *live* sampling sites; this bench
 guards the fast-path ones the observatory grew: grant logging in the
-engine's resolvers and the :class:`VectorSampler` replay.  It runs the
-engine's Figure 3 sweep on the vector kernel with observation disabled
+engine's resolver and the :class:`VectorSampler` replay.  It runs the
+engine's Figure 3 sweep (vector-kernel cold path) with observation disabled
 (the default) and enabled, several interleaved repetitions each, and
 records both medians in ``benchmarks/results/sampling_overhead.txt``.
 
@@ -46,7 +46,6 @@ def _run_sweep_once(observe: bool) -> float:
         n_trials=N_TRIALS,
         seed=42,
         n_objects_list=[N_OBJECTS],
-        kernel="vector",
     )
     elapsed = time.perf_counter() - t0
     if observe:

@@ -6,10 +6,10 @@ Usage::
     python -m repro table 4          # Table 4 (APs / delay / GOPS)
     python -m repro fig3             # Figure 3 channel-demand series
     python -m repro fig3 --workers 4 --stats  # parallel sweep + telemetry
-    python -m repro fig3 --engine --workers 4 # batched route-memoized engine
+    python -m repro fig3 --engine --workers 4 # batched, cached sweep engine
     python -m repro fig3 --trace out.json     # Perfetto-loadable span trace
     python -m repro fig3 --observe out/       # OpenMetrics + dashboard bundle
-    python -m repro fig3 --engine --kernel vector --observe out/  # replayed obs
+    python -m repro fig3 --engine --observe out/  # replayed observation
     python -m repro fig3 --engine --profile --observe out/  # stage self-timing
     python -m repro trace-report out.json     # critical path / latencies
     python -m repro observe-report out/       # summarise an --observe bundle
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import __version__, telemetry
 from repro.analysis.reporting import format_series, format_table
@@ -92,6 +92,30 @@ def _engine_stderr_summary(command: str) -> None:
     )
 
 
+def _sweep_arg_error(
+    n_objects: List[int],
+    trials: int,
+    workers: Optional[int],
+    rates: Sequence[float] = (),
+    csd_rate: Optional[float] = None,
+) -> Optional[str]:
+    """Why a fig3/faults argument set cannot run, or ``None`` — checked
+    before the sweep starts so hostile input exits 2, not a traceback."""
+    if trials < 1:
+        return f"--trials must be at least 1 (got {trials})"
+    small = [n for n in n_objects if n < 2]
+    if small:
+        return f"--n-objects must each be at least 2 (got {small[0]})"
+    if workers is not None and workers < 1:
+        return f"--workers must be at least 1 (got {workers})"
+    bad = [r for r in rates if not 0.0 <= r <= 1.0]
+    if bad:
+        return f"fault rates must lie in [0, 1] (got {bad[0]:g})"
+    if csd_rate is not None and not 0.0 <= csd_rate <= 1.0:
+        return f"--csd-rate must lie in [0, 1] (got {csd_rate:g})"
+    return None
+
+
 def _numpy_version() -> str:
     import numpy
 
@@ -108,23 +132,15 @@ def _cmd_fig3(
     observe: Optional[str] = None,
     quiet: bool = False,
     engine: bool = False,
-    kernel: str = "route",
     profile: bool = False,
 ) -> int:
     from repro.csd.simulator import figure3_series
 
-    use_engine = engine and not trace
-    if kernel == "vector" and (not engine or trace):
-        # the vector kernel only exists inside the engine's cold path,
-        # and the engine cannot replay traces — so this is a
-        # contradiction in the request, not something to paper over
-        # (observation is fine: cached trials replay their samples)
-        print(
-            "fig3: --kernel vector needs --engine and is incompatible "
-            "with --trace",
-            file=sys.stderr,
-        )
+    error = _sweep_arg_error(n_objects, trials, workers)
+    if error:
+        print(f"fig3: {error}", file=sys.stderr)
         return 2
+    use_engine = engine and not trace
     if engine and not use_engine:
         print(
             "fig3: --engine cannot replay traces; "
@@ -161,7 +177,6 @@ def _cmd_fig3(
                 n_objects_list=n_objects,
                 seed=seed,
                 workers=workers,
-                kernel=kernel,
             )
         else:
             raw = figure3_series(
@@ -246,20 +261,16 @@ def _cmd_faults(
     observe: Optional[str] = None,
     quiet: bool = False,
     engine: bool = False,
-    kernel: str = "route",
     csd_rate: Optional[float] = None,
     profile: bool = False,
 ) -> int:
     from repro.faults.campaign import report_json, run_campaign
 
-    use_engine = engine and not trace
-    if kernel == "vector" and (not engine or trace):
-        print(
-            "faults: --kernel vector needs --engine and is incompatible "
-            "with --trace",
-            file=sys.stderr,
-        )
+    error = _sweep_arg_error(n_objects, trials, workers, rates, csd_rate)
+    if error:
+        print(f"faults: {error}", file=sys.stderr)
         return 2
+    use_engine = engine and not trace
     if engine and not use_engine:
         print(
             "faults: --engine cannot replay traces; "
@@ -294,7 +305,6 @@ def _cmd_faults(
                 n_trials=trials,
                 seed=seed,
                 workers=workers,
-                kernel=kernel,
                 csd_rate=csd_rate,
             )
         else:
@@ -837,16 +847,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_fig3.add_argument(
         "--engine", action="store_true",
-        help="run trials through the batched, route-memoized sweep "
-        "engine (byte-identical stdout and --observe bundle; cache "
-        "stats go to stderr; ignored under --trace)",
-    )
-    p_fig3.add_argument(
-        "--kernel", choices=("route", "vector"), default="route",
-        help="cold-path backend of the sweep engine: 'route' (interned "
-        "route memo) or 'vector' (numpy span-array kernel, flat "
-        "per-trial cost at mega-N); requires --engine, bit-identical "
-        "stdout either way",
+        help="run trials through the batched, cached sweep engine "
+        "(vector-kernel cold path; byte-identical stdout and --observe "
+        "bundle; cache stats go to stderr; ignored under --trace)",
     )
     p_fig3.add_argument(
         "--profile", action="store_true",
@@ -910,20 +913,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_faults.add_argument(
         "--engine", action="store_true",
         help="run the CSD phase of every trial through the batched, "
-        "route-memoized sweep engine (byte-identical report and "
-        "--observe bundle; cache stats go to stderr; ignored under "
-        "--trace)",
-    )
-    p_faults.add_argument(
-        "--kernel", choices=("route", "vector"), default="route",
-        help="cold-path backend of the sweep engine (see fig3 --kernel); "
-        "requires --engine",
+        "cached sweep engine (byte-identical report and --observe "
+        "bundle; cache stats go to stderr; ignored under --trace)",
     )
     p_faults.add_argument(
         "--csd-rate", type=float, default=None,
         help="pin the CSD-segment fault rate at this value while --rates "
         "sweeps every other fault kind (0 keeps the datapath fault-free "
-        "so the engine's cached/vector kernels stay engaged); recorded "
+        "so the engine's cache stays engaged); recorded "
         "in the report as 'csd_rate'",
     )
     p_faults.add_argument(
@@ -952,7 +949,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_profile = sub.add_parser(
         "profile",
         help="summarise the self-profiling layer of an --observe bundle "
-        "(profile.* stage timers and route-memo counters)",
+        "(profile.* stage timers)",
     )
     p_profile.add_argument(
         "observe_path",
@@ -1155,7 +1152,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
             observe=args.observe, quiet=args.quiet, engine=args.engine,
-            kernel=args.kernel, profile=args.profile,
+            profile=args.profile,
         )
     if args.command == "faults":
         if args.rates is not None:
@@ -1168,7 +1165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rates, args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
             report_path=args.report, observe=args.observe,
-            quiet=args.quiet, engine=args.engine, kernel=args.kernel,
+            quiet=args.quiet, engine=args.engine,
             csd_rate=args.csd_rate, profile=args.profile,
         )
     if args.command == "trace-report":

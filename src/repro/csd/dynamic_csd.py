@@ -259,9 +259,9 @@ class DynamicCSDNetwork:
         """Canonical immutable pool occupancy: one tuple per channel of
         its occupied ``(lo, hi)`` spans, sorted.
 
-        This is the state signature the sweep engine's route memo keys
-        its transition cache on, exposed here so tests can cross-check
-        the memoized resolver against the live protocol step by step.
+        Exposed so tests can cross-check the vector kernel
+        (:meth:`repro.megascale.kernel.VectorCSDKernel.occupancy_state`)
+        against the live protocol step by step.
         """
         return tuple(
             tuple(sorted((s.lo, s.hi) for s in ch.spans()))

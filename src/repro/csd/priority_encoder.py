@@ -53,20 +53,6 @@ class PriorityEncoder:
                 best = idx
         return best
 
-    def grant_first_fit(self, is_free) -> Optional[int]:
-        """Fused broadcast+grant: scan channels in priority order and
-        grant the first whose predicate ``is_free(index)`` holds.
-
-        Equivalent to ``grant(i for i in range(n) if is_free(i))`` but
-        stops at the first survivor — the form the memoized sweep engine
-        resolver uses, kept here so the priority semantics live in one
-        place.
-        """
-        for idx in range(self.n_channels):
-            if is_free(idx):
-                return idx
-        return None
-
     def grant_vector(self, request_bits: Sequence[bool]) -> Optional[int]:
         """Bit-vector form: grant the lowest set bit (hardware view)."""
         if len(request_bits) != self.n_channels:

@@ -27,7 +27,7 @@ and loses no observability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.errors import ChannelAllocationError, RetryExhaustedError
 from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.locality import LocalityWorkload
 from repro.telemetry.observe import Sampler, point_label
+from repro.telemetry.pool import pool_map
 
 __all__ = [
     "SimulationResult",
@@ -267,54 +268,6 @@ def _sweep_point(
     return point
 
 
-def _point_task(
-    task: Tuple[int, float, int, int, bool, bool, int]
-) -> Tuple[SimulationResult, Dict[str, Any]]:
-    """Worker-process entry: run one point and ship the telemetry delta
-    back with it.  The registry is reset first because a forked worker
-    inherits the parent's counts and must report only its own.  The
-    tracing and observation flags travel in the task tuple (not the
-    inherited process state) so both also work under spawn-based
-    pools."""
-    n_objects, locality, n_trials, seed, trace, observe, stride = task
-    telemetry.reset()
-    telemetry.enable_tracing(trace)
-    telemetry.enable_observation(observe, stride)
-    point = _sweep_point(n_objects, locality, n_trials, seed)
-    return point, telemetry.snapshot()
-
-
-def _tasks(
-    points: List[Tuple[int, float]], n_trials: int, seed: int
-) -> List[Tuple[int, float, int, int, bool, bool, int]]:
-    trace = telemetry.tracer().enabled
-    obs = telemetry.observer()
-    return [
-        (n, loc, n_trials, seed, trace, obs.enabled, obs.stride)
-        for n, loc in points
-    ]
-
-
-def _run_points_parallel(
-    tasks: List[Tuple[int, float, int, int, bool, bool, int]], workers: int
-) -> List[SimulationResult]:
-    """Fan ``tasks`` (one per locality point) over a process pool.
-
-    Results come back in task order (``Executor.map``), and worker
-    telemetry snapshots are folded into this process's registry so a
-    parallel sweep reports the same grant/block counters a serial one
-    would.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    points: List[SimulationResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for point, snap in pool.map(_point_task, tasks):
-            telemetry.merge(snap)
-            points.append(point)
-    return points
-
-
 def sweep_locality(
     n_objects: int,
     localities: Sequence[float],
@@ -333,8 +286,11 @@ def sweep_locality(
     only on ``seed`` and the trial index).
     """
     if workers is not None and workers > 1:
-        tasks = _tasks([(n_objects, loc) for loc in localities], n_trials, seed)
-        return _run_points_parallel(tasks, workers)
+        return pool_map(
+            _sweep_point,
+            [(n_objects, loc, n_trials, seed) for loc in localities],
+            workers,
+        )
     return [
         _sweep_point(n_objects, loc, n_trials, seed) for loc in localities
     ]
@@ -359,12 +315,15 @@ def figure3_series(
     if localities is None:
         localities = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
     if workers is not None and workers > 1:
-        tasks = _tasks(
-            [(n, loc) for n in n_objects_list for loc in localities],
-            n_trials,
-            seed,
+        points = pool_map(
+            _sweep_point,
+            [
+                (n, loc, n_trials, seed)
+                for n in n_objects_list
+                for loc in localities
+            ],
+            workers,
         )
-        points = _run_points_parallel(tasks, workers)
         series: Dict[int, List[SimulationResult]] = {}
         for point in points:
             series.setdefault(point.n_objects, []).append(point)

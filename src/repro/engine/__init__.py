@@ -2,28 +2,25 @@
 
 Layers, bottom up:
 
-* :mod:`repro.engine.cache` — the bounded LRU both caches sit on;
-* :mod:`repro.engine.routes` — :class:`RouteMemo`, the interned
-  channel-occupancy state machine with a memoized transition table;
+* :mod:`repro.engine.cache` — the bounded LRU the trial cache sits on;
 * :mod:`repro.engine.core` — :class:`SweepEngine`, the memoizing trial
-  runner with byte-identical telemetry replay;
+  runner: cold trials resolve on the megascale vector kernel, warm ones
+  replay their telemetry byte for byte;
 * :mod:`repro.engine.sweep` — batched, load-balanced dispatch of whole
   sweeps (:func:`run_fig3`, :func:`run_faults`).
 
-Everything here is an accelerator, never an oracle: any cache miss,
-capacity overflow, or instrumentation request falls back to the live
-simulator, and cached output is byte-identical to the serial paths.
+Everything here is an accelerator, never an oracle: tracing, live CSD
+faults, and anything else the replay cannot reproduce fall back to the
+live simulator, and engine output is byte-identical to the serial paths.
 """
 
 from repro.engine.cache import LRUCache, MISSING
 from repro.engine.core import SweepEngine, TrialEntry
-from repro.engine.routes import RouteMemo
 from repro.engine.sweep import run_faults, run_fig3
 
 __all__ = [
     "LRUCache",
     "MISSING",
-    "RouteMemo",
     "SweepEngine",
     "TrialEntry",
     "run_fig3",

@@ -1,7 +1,6 @@
 """A small bounded LRU cache with hit/miss accounting.
 
-The engine's memoization layers (trial results, request sets, route
-transitions) all need the same thing: a dict with an eviction policy and
+The engine's trial cache needs a dict with an eviction policy and
 enough bookkeeping to report a hit rate.  ``functools.lru_cache`` wraps
 functions, not keys the caller constructs, and carries no eviction
 counter — so the engine owns this ~60-line cache instead.

@@ -3,15 +3,13 @@
 A Figure 3 (or rate-0 fault-campaign) trial is a pure function of
 ``(n_objects, locality, trial_seed, two_source)``: the workload draws
 every request from a seeded RNG and the grant protocol is deterministic.
-The engine exploits that at three levels:
+The engine exploits that twice:
 
-* a **request cache** keyed on the workload parameters, so re-resolved
-  trials skip the numpy draws;
-* a **route memo** (:class:`repro.engine.routes.RouteMemo`) shared by
-  every trial of one channel geometry, so the grant resolution inside a
-  cold trial runs on interned states and cached transitions instead of
-  scanning live channel objects;
-* a **trial cache** holding the finished
+* a **cold** trial resolves on
+  :class:`repro.megascale.kernel.VectorCSDKernel` — the priority
+  encoder's first-fit grant on segment bitmasks, with no live channel
+  objects;
+* a **trial cache** holds the finished
   :class:`~repro.csd.simulator.SimulationResult` together with the
   telemetry the live path would have produced (attempt count, blocked
   spans in order), so a warm trial costs one dict lookup plus a counter
@@ -51,21 +49,16 @@ from repro import telemetry
 from repro.csd.locality import LocalityWorkload
 from repro.csd.simulator import CSDSimulator, SimulationResult
 from repro.engine.cache import LRUCache, MISSING
-from repro.engine.routes import RouteMemo
 from repro.faults.model import FaultKind
 from repro.megascale.kernel import VectorCSDKernel, VectorSampler
 from repro.telemetry.observe import point_label
 
 __all__ = ["SweepEngine", "TrialEntry"]
 
-#: Default trial-cache capacity (a full Figure 3 series at 10 trials is
+#: Trial-cache capacity (a full Figure 3 series at 10 trials is
 #: 5 sizes x 11 localities x 10 = 550 entries; leave headroom for warm
 #: re-runs at other seeds).
-DEFAULT_TRIAL_CAPACITY = 8_192
-
-#: Default request-set cache capacity (request lists are the big
-#: entries — N-1 dataclasses each — so this is kept tighter).
-DEFAULT_REQUEST_CAPACITY = 2_048
+TRIAL_CAPACITY = 8_192
 
 
 @dataclass(frozen=True)
@@ -79,173 +72,36 @@ class TrialEntry:
     four parallel int64 arrays ``(cycles, lo, hi, channel)`` in grant
     order, where a cycle is one chaining request (request index + 1 —
     the live sampler's clock); it is what makes cached observation
-    replay possible (``None`` only for entries built by older callers,
-    which then re-resolve under observation).
+    replay possible.
     """
 
     result: SimulationResult
     attempts: int
     blocked_spans: Tuple[Tuple[int, int], ...]
-    grant_log: Optional[
-        Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ] = None
-
-
-def _pack_grant_log(
-    cycles: List[int], rows: List[Tuple[int, int, int]]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Freeze a resolved trial's grants into the compact array form."""
-    return (
-        np.asarray(cycles, dtype=np.int64),
-        np.asarray([r[0] for r in rows], dtype=np.int64),
-        np.asarray([r[1] for r in rows], dtype=np.int64),
-        np.asarray([r[2] for r in rows], dtype=np.int64),
-    )
+    grant_log: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class SweepEngine:
     """Memoizing trial runner shared by the fig3 and faults sweeps."""
 
-    def __init__(
-        self,
-        trial_capacity: int = DEFAULT_TRIAL_CAPACITY,
-        request_capacity: int = DEFAULT_REQUEST_CAPACITY,
-        kernel: str = "route",
-    ) -> None:
-        if kernel not in ("route", "vector"):
-            raise ValueError(
-                f"unknown cold-path kernel {kernel!r} (want 'route' or 'vector')"
-            )
-        #: Cold-path backend: ``"route"`` resolves grants on the interned
-        #: route memo; ``"vector"`` runs the numpy span-array kernel
-        #: (:class:`repro.megascale.kernel.VectorCSDKernel`) — same
-        #: results bit-for-bit, but per-trial cost that stays flat as
-        #: ``n_objects`` grows into the thousands.
-        self.kernel = kernel
-        self._trials = LRUCache(trial_capacity)
-        self._requests = LRUCache(request_capacity)
-        self._memos: Dict[Tuple[int, int], RouteMemo] = {}
+    def __init__(self) -> None:
+        self._trials = LRUCache(TRIAL_CAPACITY)
         #: Trials served from cache (replayed) vs. run on the live path.
         self.trials_cached = 0
         self.trials_live = 0
 
-    # -- memo plumbing ------------------------------------------------------
+    # -- resolution ---------------------------------------------------------
 
-    def _memo(self, n_channels: int, n_segments: int) -> RouteMemo:
-        key = (n_channels, n_segments)
-        memo = self._memos.get(key)
-        if memo is None:
-            memo = self._memos[key] = RouteMemo(n_channels, n_segments)
-        return memo
-
-    def trial_requests(
-        self, n_objects: int, locality: float, seed: int, two_source: bool
-    ):
-        """The (cached) workload of one trial: ``(requests, realized_locality)``.
-
-        Requests are frozen dataclasses drawn exactly as
-        :class:`~repro.csd.locality.LocalityWorkload` draws them, so
-        sharing one list between trials (and with callers) is safe.
-        """
-        key = (n_objects, locality, seed, two_source)
-        cached = self._requests.get_or_miss(key)
-        if cached is not MISSING:
-            return cached
+    @staticmethod
+    def _resolve_trial(
+        n_objects: int, locality: float, seed: int, two_source: bool
+    ) -> TrialEntry:
+        """Resolve one trial on the vector kernel (no live network):
+        the live path's attempt order, first-fit grants and blocks."""
         workload = LocalityWorkload(n_objects, locality, seed=seed)
         requests = (
             workload.requests_two_source() if two_source else workload.requests()
         )
-        entry = (requests, workload.realized_locality(requests))
-        self._requests.put(key, entry)
-        return entry
-
-    # -- resolution ---------------------------------------------------------
-
-    def _resolve_trial(
-        self, n_objects: int, locality: float, seed: int, two_source: bool
-    ) -> TrialEntry:
-        """Resolve one trial purely on the active cold-path kernel (no
-        live network): the route memo, or the vector span-array kernel."""
-        requests, realized = self.trial_requests(
-            n_objects, locality, seed, two_source
-        )
-        n_channels = 2 * n_objects if two_source else n_objects
-        if self.kernel == "vector":
-            return self._resolve_trial_vector(
-                n_objects, locality, realized, requests, n_channels
-            )
-        memo = self._memo(n_channels, n_objects - 1)
-        profiling = telemetry.profiler().enabled
-        memo_before = memo.stats() if profiling else None
-        state_id = memo.empty_state_id
-        live_state = None
-        attempts = 0
-        blocked: List[Tuple[int, int]] = []
-        grant_cycles: List[int] = []
-        grant_rows: List[Tuple[int, int, int]] = []
-        for req_index, req in enumerate(requests):
-            for source in req.sources:
-                if source == req.sink:  # cannot happen by construction
-                    continue
-                attempts += 1
-                lo, hi = (
-                    (source, req.sink) if source < req.sink else (req.sink, source)
-                )
-                if live_state is None:
-                    step = memo.transition(state_id, lo, hi)
-                    if step is not None:
-                        granted, state_id = step
-                        if granted is None:
-                            blocked.append((lo, hi))
-                        else:
-                            grant_cycles.append(req_index + 1)
-                            grant_rows.append((lo, hi, granted))
-                        continue
-                    # intern budget exhausted: finish on the live state
-                    live_state = memo.state(state_id)
-                granted, live_state = memo.resolve_live(live_state, lo, hi)
-                if granted is None:
-                    blocked.append((lo, hi))
-                else:
-                    grant_cycles.append(req_index + 1)
-                    grant_rows.append((lo, hi, granted))
-        if profiling:
-            memo_after = memo.stats()
-            for stat in ("transition_hits", "transition_misses", "states",
-                         "fallbacks"):
-                delta = memo_after[stat] - memo_before[stat]
-                if delta:
-                    telemetry.counter(f"profile.route.{stat}").inc(delta)
-        final = live_state if live_state is not None else memo.state(state_id)
-        highest = 0
-        for idx in range(len(final) - 1, -1, -1):
-            if final[idx]:
-                highest = idx + 1
-                break
-        result = SimulationResult(
-            n_objects=n_objects,
-            locality_knob=locality,
-            realized_locality=realized,
-            used_channels=sum(1 for spans in final if spans),
-            highest_channel=highest,
-            requests=len(requests),
-            blocked=len(blocked),
-        )
-        return TrialEntry(
-            result, attempts, tuple(blocked),
-            _pack_grant_log(grant_cycles, grant_rows),
-        )
-
-    def _resolve_trial_vector(
-        self,
-        n_objects: int,
-        locality: float,
-        realized: float,
-        requests,
-        n_channels: int,
-    ) -> TrialEntry:
-        """Vector-kernel twin of the route-memo resolution: identical
-        attempt order, identical first-fit grants, identical blocks."""
         spans: List[Tuple[int, int]] = []
         span_cycles: List[int] = []
         for req_index, req in enumerate(requests):
@@ -257,34 +113,30 @@ class SweepEngine:
                     else (req.sink, source)
                 )
                 span_cycles.append(req_index + 1)
+        n_channels = 2 * n_objects if two_source else n_objects
         kern = VectorCSDKernel(n_channels, n_objects - 1)
         with telemetry.profile_stage("kernel.grant_many"):
             grants = kern.grant_many(spans)
-        attempts = len(spans)
-        blocked = [
+        blocked = tuple(
             span for span, granted in zip(spans, grants) if granted is None
-        ]
-        grant_cycles = [
-            c for c, granted in zip(span_cycles, grants) if granted is not None
-        ]
-        grant_rows = [
-            (span[0], span[1], granted)
-            for span, granted in zip(spans, grants)
+        )
+        granted_rows = [
+            (cycle, lo, hi, granted)
+            for cycle, (lo, hi), granted in zip(span_cycles, spans, grants)
             if granted is not None
         ]
+        # one contiguous (4, grants) block; its rows are the log's columns
+        log = np.asarray(granted_rows, dtype=np.int64).reshape(-1, 4).T.copy()
         result = SimulationResult(
             n_objects=n_objects,
             locality_knob=locality,
-            realized_locality=realized,
+            realized_locality=workload.realized_locality(requests),
             used_channels=kern.used_channels(),
             highest_channel=kern.highest_used_channel(),
             requests=len(requests),
             blocked=len(blocked),
         )
-        return TrialEntry(
-            result, attempts, tuple(blocked),
-            _pack_grant_log(grant_cycles, grant_rows),
-        )
+        return TrialEntry(result, len(spans), blocked, tuple(log))
 
     @staticmethod
     def _replay(entry: TrialEntry) -> None:
@@ -373,7 +225,7 @@ class SweepEngine:
         if fast:
             key = (n_objects, float(locality), int(trial_seed), bool(two_source))
             entry = self._trials.get_or_miss(key)
-            if entry is MISSING or (observing and entry.grant_log is None):
+            if entry is MISSING:
                 with telemetry.profile_stage("engine.resolve"):
                     entry = self._resolve_trial(
                         n_objects, float(locality), int(trial_seed),
@@ -406,29 +258,7 @@ class SweepEngine:
 
     def stats(self) -> Dict[str, Any]:
         return {
-            "kernel": self.kernel,
             "trials_cached": self.trials_cached,
             "trials_live": self.trials_live,
             "trial_cache": self._trials.stats(),
-            "request_cache": self._requests.stats(),
-            "route_memos": {
-                f"ch{nc}xseg{ns}": memo.stats()
-                for (nc, ns), memo in sorted(self._memos.items())
-            },
         }
-
-    def format_stats(self) -> str:
-        """One status line (the CLI prints this to stderr)."""
-        t = self._trials.stats()
-        route_hits = sum(
-            m.stats()["transition_hits"] for m in self._memos.values()
-        )
-        route_misses = sum(
-            m.stats()["transition_misses"] for m in self._memos.values()
-        )
-        return (
-            f"engine: trials cached={self.trials_cached} "
-            f"live={self.trials_live} "
-            f"trial-cache {t['hits']}h/{t['misses']}m "
-            f"route {route_hits}h/{route_misses}m"
-        )

@@ -1,28 +1,27 @@
-"""Batched, dynamically load-balanced sweep dispatch over the engine.
+"""Batched sweep dispatch over the engine.
 
 The legacy parallel paths (:func:`repro.csd.simulator.figure3_series`,
 :func:`repro.faults.campaign.run_campaign`) fan out one *sweep point*
-per pool task via ``Executor.map`` — fixed-size work units, one straggler
-point stalls the tail.  This layer flattens every sweep into *(point,
-trial)* tasks, chunks them into batches, and dispatches the batches with
-``submit`` + ``as_completed`` so free workers steal whatever is left.
-Each worker process keeps one persistent :class:`~repro.engine.core.SweepEngine`,
-so route-memo and trial-cache state accumulates across the batches it
-serves.
+per pool task — fixed-size work units, so one straggler point stalls
+the tail.  This layer flattens every sweep into *(point, trial)* tasks
+and chunks them into batches (:data:`BATCHES_PER_WORKER` per worker),
+which :func:`repro.telemetry.pool.pool_map` hands to the pool up front
+so free workers pick up whatever is left.  Each worker process keeps
+one persistent :class:`~repro.engine.core.SweepEngine`, so its trial
+cache accumulates across the batches it serves.
 
-Determinism: batches are slices of the flattened task list, results are
-reassembled by batch index (never completion order), per-trial telemetry
-captures are summed in trial order, and the per-point aggregation is the
-exact helper the serial paths use — so the batched output is
-byte-identical to the serial one.  Tracing cannot be replayed from a
-cache, so with tracing enabled these entry points delegate to the
-legacy traced paths unchanged.  Observation *can* be replayed: cached
-trials re-derive their samples from the grant log through
-:class:`~repro.megascale.kernel.VectorSampler` (see
+Determinism: batches are slices of the flattened task list, results and
+telemetry snapshots come back in batch order (never completion order),
+per-trial telemetry captures are summed in trial order, and the
+per-point aggregation is the exact helper the serial paths use — so the
+batched output is byte-identical to the serial one.  Tracing cannot be
+replayed from a cache, so with tracing enabled these entry points
+delegate to the legacy traced paths unchanged.  Observation *can* be
+replayed: cached trials re-derive their samples from the grant log
+through :class:`~repro.megascale.kernel.VectorSampler` (see
 :mod:`repro.engine.core`), so ``--engine --observe`` runs stay batched
-and cached — the worker payloads carry the observer (and profiler)
-switches across the process boundary, and the parent sets the same
-per-point gauges the legacy paths set.
+and cached, and the parent sets the same per-point gauges the legacy
+paths set.
 """
 
 from __future__ import annotations
@@ -51,61 +50,46 @@ from repro.faults.campaign import (
     run_fault_trial,
 )
 from repro.engine.core import SweepEngine
+from repro.telemetry.pool import pool_map
 
-__all__ = ["run_fig3", "run_faults", "DEFAULT_BATCHES_PER_WORKER"]
+__all__ = ["run_fig3", "run_faults", "BATCHES_PER_WORKER"]
 
-#: Batches per worker the auto batch size aims for: small enough that a
-#: straggler batch costs ~1/4 of one worker's share, large enough that
-#: dispatch overhead stays negligible.
-DEFAULT_BATCHES_PER_WORKER = 4
+#: Batches per worker: small enough that a straggler batch costs ~1/4
+#: of one worker's share, large enough that dispatch overhead stays
+#: negligible.
+BATCHES_PER_WORKER = 4
 
 #: Default localities of the full Figure 3 series (mirrors
 #: :func:`repro.csd.simulator.figure3_series`).
 _DEFAULT_LOCALITIES = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
 
-#: One engine per (worker process, kernel), created lazily on the first
-#: batch and reused for every batch that lands on this worker — that
-#: reuse is what keeps the route memo (or the vector kernel's trial
-#: cache) warm across batches.  Keyed by kernel so a worker serving a
-#: ``--kernel vector`` run never hands those batches a route-memo engine
-#: left over from an earlier run in the same pool.
-_WORKER_ENGINES: Dict[str, SweepEngine] = {}
+#: This worker process's engine, created on the first batch and reused
+#: for every batch that lands here, so its trial cache stays warm.
+_WORKER_ENGINE: Optional[SweepEngine] = None
 
 
-def _worker_engine(kernel: str = "route") -> SweepEngine:
-    engine = _WORKER_ENGINES.get(kernel)
-    if engine is None:
-        engine = _WORKER_ENGINES[kernel] = SweepEngine(kernel=kernel)
-    return engine
+def _worker_engine() -> SweepEngine:
+    global _WORKER_ENGINE
+    if _WORKER_ENGINE is None:
+        _WORKER_ENGINE = SweepEngine()
+    return _WORKER_ENGINE
 
 
 def _traced() -> bool:
     return telemetry.tracer().enabled
 
 
-def _worker_switches() -> Tuple[bool, int, bool]:
-    """The instrumentation switches a pool worker must restore after its
-    ``telemetry.reset()``: (observation on, observation stride, profiling
-    on).  Tracing never reaches the engine pool (it delegates)."""
-    obs = telemetry.observer()
-    return (obs.enabled, obs.stride, telemetry.profiler().enabled)
+def _check_sweep(n_objects_list: Sequence[int], n_trials: int) -> None:
+    """The legacy sweeps' argument errors, raised before any dispatch."""
+    if n_trials < 1:
+        raise ValueError("need at least one trial")
+    if any(n < 2 for n in n_objects_list):
+        raise ValueError("need at least two objects")
 
 
-def _apply_worker_switches(observe: bool, stride: int, profile: bool) -> None:
-    if observe:
-        telemetry.enable_observation(True, stride)
-    if profile:
-        telemetry.enable_profiling(True)
-
-
-def _chunked(tasks: List[Any], workers: int, batch_size: Optional[int]):
-    if batch_size is None:
-        per = workers * DEFAULT_BATCHES_PER_WORKER
-        batch_size = max(1, -(-len(tasks) // per))
-    return [
-        tuple(tasks[i : i + batch_size])
-        for i in range(0, len(tasks), batch_size)
-    ]
+def _chunked(tasks: List[Any], workers: int) -> List[Tuple[Any, ...]]:
+    size = max(1, -(-len(tasks) // (workers * BATCHES_PER_WORKER)))
+    return [tuple(tasks[i : i + size]) for i in range(0, len(tasks), size)]
 
 
 def _record_engine_telemetry(cached: int, live: int) -> None:
@@ -116,6 +100,23 @@ def _record_engine_telemetry(cached: int, live: int) -> None:
         telemetry.counter("engine.trials.cached").inc(cached)
     if live:
         telemetry.counter("engine.trials.live").inc(live)
+
+
+def _run_batch(run, items) -> list:
+    """Worker side of a batch: ``run(engine, item)`` per item on this
+    worker's engine, recording the batch latency and the engine counters
+    into the registry snapshot :func:`pool_map` ships back."""
+    engine = _worker_engine()
+    cached0, live0 = engine.trials_cached, engine.trials_live
+    start = time.perf_counter()
+    out = [run(engine, item) for item in items]
+    telemetry.histogram("engine.batch.seconds").observe(
+        time.perf_counter() - start
+    )
+    _record_engine_telemetry(
+        engine.trials_cached - cached0, engine.trials_live - live0
+    )
+    return out
 
 
 # -- Figure 3 ---------------------------------------------------------------
@@ -142,29 +143,9 @@ def _engine_fig3_point(
     return point
 
 
-def _fig3_chunk(args):
-    """Worker entry: run one batch of trials on this worker's persistent
-    engine; ship the results with the batch's telemetry delta and its
-    wall-clock latency."""
-    chunk_index, items, kernel, observe, stride, profile = args
-    telemetry.reset()
-    _apply_worker_switches(observe, stride, profile)
-    engine = _worker_engine(kernel)
-    cached0, live0 = engine.trials_cached, engine.trials_live
-    start = time.perf_counter()
-    results = [
-        engine.run_csd_trial(n, loc, trial_seed, sample_series=sample)
-        for n, loc, trial_seed, sample in items
-    ]
-    elapsed = time.perf_counter() - start
-    return (
-        chunk_index,
-        results,
-        telemetry.snapshot(),
-        elapsed,
-        engine.trials_cached - cached0,
-        engine.trials_live - live0,
-    )
+def _fig3_trial(engine: SweepEngine, item) -> SimulationResult:
+    n, loc, trial_seed, sample = item
+    return engine.run_csd_trial(n, loc, trial_seed, sample_series=sample)
 
 
 def run_fig3(
@@ -174,38 +155,24 @@ def run_fig3(
     n_objects_list: Sequence[int] = FIGURE3_NOBJECTS,
     workers: Optional[int] = None,
     engine: Optional[SweepEngine] = None,
-    batch_size: Optional[int] = None,
-    kernel: str = "route",
 ) -> Dict[int, List[SimulationResult]]:
     """Engine-path :func:`~repro.csd.simulator.figure3_series`: same
     return shape, byte-identical results, trial batching instead of
     per-point fan-out.  Observation rides along (cached trials replay
-    their observation documents byte-for-byte); tracing alone still
-    delegates to the legacy traced path, which has no vector cold path,
-    so ``kernel`` must stay at its default there.
-
-    ``kernel`` picks the cold-path backend of every engine this sweep
-    creates (``"route"`` or ``"vector"``, see
-    :class:`~repro.engine.core.SweepEngine`); a caller-supplied
-    ``engine`` brings its own kernel and wins.
-    """
+    their observation documents byte-for-byte); tracing alone delegates
+    to the legacy traced path.  ``engine`` (serial runs only) lets a
+    caller keep the trial cache across sweeps."""
     if localities is None:
         localities = list(_DEFAULT_LOCALITIES)
+    _check_sweep(n_objects_list, n_trials)
     if _traced():
-        if kernel != "route":
-            raise ValueError(
-                "the vector kernel cannot replay tracing; "
-                "run without --trace or with kernel='route'"
-            )
         return figure3_series(
             localities=localities, n_trials=n_trials, seed=seed,
             n_objects_list=n_objects_list, workers=workers,
         )
     points = [(n, loc) for n in n_objects_list for loc in localities]
     if workers is not None and workers > 1:
-        flat = _run_fig3_batched(
-            points, n_trials, seed, workers, batch_size, kernel
-        )
+        flat = _run_fig3_batched(points, n_trials, seed, workers)
         results = []
         observing = telemetry.observer().enabled
         for index, (n, loc) in enumerate(points):
@@ -220,7 +187,7 @@ def run_fig3(
                 record_point_gauges(point)
             results.append(point)
     else:
-        eng = engine if engine is not None else SweepEngine(kernel=kernel)
+        eng = engine if engine is not None else SweepEngine()
         cached0, live0 = eng.trials_cached, eng.trials_live
         results = [
             _engine_fig3_point(eng, n, loc, n_trials, seed) for n, loc in points
@@ -235,76 +202,36 @@ def run_fig3(
 
 
 def _run_fig3_batched(
-    points: List[Tuple[int, float]],
-    n_trials: int,
-    seed: int,
-    workers: int,
-    batch_size: Optional[int],
-    kernel: str,
+    points: List[Tuple[int, float]], n_trials: int, seed: int, workers: int
 ) -> List[SimulationResult]:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
     tasks = [
         (n, loc, seed + 1000 * t, t == 0)
         for n, loc in points
         for t in range(n_trials)
     ]
-    chunks = _chunked(tasks, workers, batch_size)
-    observe, stride, profile = _worker_switches()
-    payloads = [
-        (i, chunk, kernel, observe, stride, profile)
-        for i, chunk in enumerate(chunks)
-    ]
-    done: Dict[int, Tuple[List[SimulationResult], Dict[str, Any], float, int, int]] = {}
     with telemetry.profile_stage("engine.dispatch"):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fig3_chunk, payload) for payload in payloads]
-            for future in as_completed(futures):
-                index, results, snap, elapsed, cached, live = future.result()
-                done[index] = (results, snap, elapsed, cached, live)
-    flat: List[SimulationResult] = []
-    latency = telemetry.histogram("engine.batch.seconds")
-    for index in range(len(chunks)):
-        results, snap, elapsed, cached, live = done[index]
-        telemetry.merge(snap)  # batch-index order == serial trial order
-        latency.observe(elapsed)
-        _record_engine_telemetry(cached, live)
-        flat.extend(results)
-    return flat
+        batches = pool_map(
+            _run_batch,
+            [(_fig3_trial, chunk) for chunk in _chunked(tasks, workers)],
+            workers,
+        )
+    return [result for batch in batches for result in batch]
 
 
 # -- fault campaign ---------------------------------------------------------
 
 
-def _faults_chunk(args):
-    """Worker entry: one batch of fault trials, each with its own
-    counter-delta/recovery capture so the parent can rebuild exact
-    per-point captures regardless of how batches split the points."""
-    (chunk_index, items, seed, policy_tuple, locality, kernel, csd_rate,
-     observe, stride, profile) = args
-    telemetry.reset()
-    _apply_worker_switches(observe, stride, profile)
-    engine = _worker_engine(kernel)
-    cached0, live0 = engine.trials_cached, engine.trials_live
-    policy = RetryPolicy(*policy_tuple)
-    start = time.perf_counter()
-    out = []
-    for n_objects, rate, trial in items:
-        before = _capture_before()
-        result = run_fault_trial(
-            n_objects, rate, trial, seed, policy=policy, locality=locality,
-            engine=engine, csd_rate=csd_rate,
-        )
-        out.append((result, *_capture_delta(before)))
-    elapsed = time.perf_counter() - start
-    return (
-        chunk_index,
-        out,
-        telemetry.snapshot(),
-        elapsed,
-        engine.trials_cached - cached0,
-        engine.trials_live - live0,
+def _fault_trial(engine: SweepEngine, item):
+    """One fault trial with its own counter-delta/recovery capture, so
+    the parent can rebuild exact per-point captures regardless of how
+    batches split the points."""
+    n_objects, rate, trial, seed, policy, locality, csd_rate = item
+    before = _capture_before()
+    result = run_fault_trial(
+        n_objects, rate, trial, seed, policy=policy, locality=locality,
+        engine=engine, csd_rate=csd_rate,
     )
+    return (result, *_capture_delta(before))
 
 
 def run_faults(
@@ -316,49 +243,42 @@ def run_faults(
     locality: float = _LOCALITY,
     workers: Optional[int] = None,
     engine: Optional[SweepEngine] = None,
-    batch_size: Optional[int] = None,
-    kernel: str = "route",
     csd_rate: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Engine-path :func:`~repro.faults.campaign.run_campaign`: same
     report schema, byte-identical content, trial batching instead of
     per-point fan-out.  Observation rides along (the fault phases sample
     live in the workers; cached CSD phases replay their samples); tracing
-    alone still delegates to the legacy traced path.
+    alone delegates to the legacy traced path.
 
-    ``kernel`` picks the engines' cold-path backend (as in
-    :func:`run_fig3`); ``csd_rate`` pins the CSD-segment fault rate
-    independently of the swept ``rates`` (as in
-    :func:`~repro.faults.campaign.run_campaign`) — ``csd_rate=0.0`` is
-    what lets the vector kernel serve the datapath phase of a faulty
-    reconfiguration campaign.
+    ``csd_rate`` pins the CSD-segment fault rate independently of the
+    swept ``rates`` (as in :func:`~repro.faults.campaign.run_campaign`)
+    — ``csd_rate=0.0`` is what lets the engine's cache serve the
+    datapath phase of a faulty reconfiguration campaign.
     """
+    if not rates:
+        raise ValueError("need at least one fault rate")
+    if not n_objects_list:
+        raise ValueError("need at least one array size")
+    _check_sweep(n_objects_list, n_trials)
+    if any(not 0.0 <= r <= 1.0 for r in rates):
+        raise ValueError("fault rate must be in [0, 1]")
     if _traced():
-        if kernel != "route":
-            raise ValueError(
-                "the vector kernel cannot replay tracing; "
-                "run without --trace or with kernel='route'"
-            )
         return run_campaign(
             rates, n_objects_list=n_objects_list, n_trials=n_trials,
             seed=seed, policy=policy, locality=locality, workers=workers,
             csd_rate=csd_rate,
         )
-    if not rates:
-        raise ValueError("need at least one fault rate")
-    if not n_objects_list:
-        raise ValueError("need at least one array size")
     grid = [(n, r) for r in rates for n in n_objects_list]
     points: List[Dict[str, Any]]
     if workers is not None and workers > 1:
         points = _run_faults_batched(
-            grid, n_trials, seed, policy, locality, workers, batch_size,
-            kernel, csd_rate,
+            grid, n_trials, seed, policy, locality, workers, csd_rate
         )
     else:
         from repro.faults.campaign import campaign_point
 
-        eng = engine if engine is not None else SweepEngine(kernel=kernel)
+        eng = engine if engine is not None else SweepEngine()
         cached0, live0 = eng.trials_cached, eng.trials_live
         points = [
             campaign_point(
@@ -396,42 +316,20 @@ def _run_faults_batched(
     policy: RetryPolicy,
     locality: float,
     workers: int,
-    batch_size: Optional[int],
-    kernel: str,
     csd_rate: Optional[float],
 ) -> List[Dict[str, Any]]:
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    policy_tuple = (
-        policy.max_attempts,
-        policy.base_backoff_cycles,
-        policy.backoff_multiplier,
-    )
-    tasks = [(n, r, t) for n, r in grid for t in range(n_trials)]
-    chunks = _chunked(tasks, workers, batch_size)
-    observe, stride, profile = _worker_switches()
-    done: Dict[int, Tuple[list, Dict[str, Any], float, int, int]] = {}
+    tasks = [
+        (n, r, t, seed, policy, locality, csd_rate)
+        for n, r in grid
+        for t in range(n_trials)
+    ]
     with telemetry.profile_stage("engine.dispatch"):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _faults_chunk,
-                    (i, chunk, seed, policy_tuple, locality, kernel,
-                     csd_rate, observe, stride, profile),
-                )
-                for i, chunk in enumerate(chunks)
-            ]
-            for future in as_completed(futures):
-                index, out, snap, elapsed, cached, live = future.result()
-                done[index] = (out, snap, elapsed, cached, live)
-    flat: List[Tuple[Dict[str, Any], Dict[str, float], List[float]]] = []
-    latency = telemetry.histogram("engine.batch.seconds")
-    for index in range(len(chunks)):
-        out, snap, elapsed, cached, live = done[index]
-        telemetry.merge(snap)  # batch-index order == serial trial order
-        latency.observe(elapsed)
-        _record_engine_telemetry(cached, live)
-        flat.extend(out)
+        batches = pool_map(
+            _run_batch,
+            [(_fault_trial, chunk) for chunk in _chunked(tasks, workers)],
+            workers,
+        )
+    flat = [out for batch in batches for out in batch]
     points: List[Dict[str, Any]] = []
     observing = telemetry.observer().enabled
     for index, (n_objects, rate) in enumerate(grid):

@@ -51,6 +51,7 @@ from repro.faults.recovery import (
     with_retry,
 )
 from repro.telemetry.observe import Sampler, point_label
+from repro.telemetry.pool import pool_map
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -476,30 +477,6 @@ def campaign_point(
 
 # -- campaign sweep (serial and process-pool paths) -------------------------
 
-Task = Tuple[
-    int, float, int, int, Tuple[int, int, int], float, bool, bool, int,
-    Optional[float],
-]
-
-
-def _campaign_task(task: Task) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Worker-process entry: one point plus its telemetry delta (the
-    registry is reset first — a forked worker inherits the parent's
-    counts and must report only its own)."""
-    (
-        n_objects, rate, n_trials, seed, policy_tuple, locality,
-        trace, observe, stride, csd_rate,
-    ) = task
-    telemetry.reset()
-    telemetry.enable_tracing(trace)
-    telemetry.enable_observation(observe, stride)
-    policy = RetryPolicy(*policy_tuple)
-    point = campaign_point(
-        n_objects, rate, n_trials, seed, policy=policy, locality=locality,
-        csd_rate=csd_rate,
-    )
-    return point, telemetry.snapshot()
-
 
 def run_campaign(
     rates: Sequence[float],
@@ -527,29 +504,17 @@ def run_campaign(
     if not n_objects_list:
         raise ValueError("need at least one array size")
     grid = [(n, r) for r in rates for n in n_objects_list]
-    policy_tuple = (
-        policy.max_attempts,
-        policy.base_backoff_cycles,
-        policy.backoff_multiplier,
-    )
     points: List[Dict[str, Any]]
     if workers is not None and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        trace = telemetry.tracer().enabled
-        obs = telemetry.observer()
-        tasks: List[Task] = [
-            (
-                n, r, n_trials, seed, policy_tuple, locality,
-                trace, obs.enabled, obs.stride, csd_rate,
-            )
-            for n, r in grid
-        ]
-        points = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point, snap in pool.map(_campaign_task, tasks):
-                telemetry.merge(snap)
-                points.append(point)
+        points = pool_map(
+            campaign_point,
+            [
+                # campaign_point's positional order; engine=None
+                (n, r, n_trials, seed, policy, locality, None, csd_rate)
+                for n, r in grid
+            ],
+            workers,
+        )
     else:
         points = [
             campaign_point(

@@ -23,11 +23,11 @@ on flat numpy arrays instead:
 Everything observable matches the live simulator bit-for-bit — grants,
 blocks, eviction order, ``occupancy_state()``, ``segment_demand()`` —
 which the hypothesis lockstep property in
-``tests/megascale/test_kernel.py`` drives directly, the same
-cross-validation pattern ``engine/routes.py`` uses.
+``tests/megascale/test_kernel.py`` drives directly against the live
+network.
 
-:class:`VectorCSDKernel` is the bare array machine (no telemetry — the
-sweep engine's cold path calls it in a tight loop);
+:class:`VectorCSDKernel` is the bare array machine (no telemetry — it
+is the sweep engine's only cold path, one :meth:`grant_many` per trial);
 :class:`VectorCSDNetwork` wraps it into a drop-in for
 ``DynamicCSDNetwork`` with the identical counter/event surface.
 """
@@ -292,7 +292,7 @@ class VectorCSDKernel:
 
     def used_channels(self) -> int:
         n = self._n
-        return int(len(np.unique(self._ch[:n]))) if n else 0
+        return int(np.count_nonzero(np.bincount(self._ch[:n]))) if n else 0
 
     def highest_used_channel(self) -> int:
         n = self._n

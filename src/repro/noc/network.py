@@ -188,7 +188,8 @@ class RouterNetwork:
     def run_until_drained(self, max_cycles: int = 100_000) -> int:
         """Step until every queue and backlog is empty.
 
-        Returns the cycle count at drain.
+        Returns the cycle count at drain.  ``max_cycles`` budgets the
+        cycles stepped in this call, not the network's lifetime clock.
 
         Raises
         ------
@@ -196,6 +197,7 @@ class RouterNetwork:
             If no progress happens while work remains, or the cycle
             budget is exhausted.
         """
+        start = self.cycle_count
         idle_streak = 0
         while not self.is_drained():
             moved = self.step()
@@ -205,7 +207,7 @@ class RouterNetwork:
                     f"network made no progress for {idle_streak} cycles "
                     f"with {self.in_flight()} flits in flight"
                 )
-            if self.cycle_count > max_cycles:
+            if self.cycle_count - start > max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
         return self.cycle_count
 
@@ -263,8 +265,8 @@ class RouterNetwork:
         Raises
         ------
         SimulationError
-            When the schedule would cross ``max_cycles`` — the stepped
-            run would have exhausted its cycle budget too.
+            When the schedule takes more than ``max_cycles`` cycles —
+            the stepped run would have exhausted its cycle budget too.
         """
         from repro.megascale.noc_kernel import worm_schedule
 
@@ -290,7 +292,7 @@ class RouterNetwork:
                 "deliver it by stepping"
             )
         start = self.cycle_count
-        if start + schedule.drain_at > max_cycles:
+        if schedule.drain_at > max_cycles:
             raise SimulationError(f"exceeded cycle budget {max_cycles}")
         self._inject_time[packet.packet_id] = start
         self._packet_meta[packet.packet_id] = packet

@@ -21,7 +21,8 @@ Two usage styles:
 
 Snapshots are plain picklable dicts; a parallel sweep's worker processes
 return ``snapshot()`` next to their results and the parent folds them in
-with :func:`merge` — so ``--workers N`` loses no observability.  Span
+with :func:`merge` (:func:`repro.telemetry.pool.pool_map` does both) —
+so ``--workers N`` loses no observability.  Span
 tracing is **off by default** (:func:`enable_tracing` turns it on) and
 costs one attribute check per protocol step when disabled.
 """

@@ -411,7 +411,7 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
             seed=seed,
             n_objects_list=list(config["identity_n_objects"]),
         )
-        vector_small = run_fig3(kernel="vector", **id_kwargs)
+        vector_small = run_fig3(**id_kwargs)
         legacy_small = figure3_series(**id_kwargs)
         deterministic = {
             "megascale.identical_legacy": float(vector_small == legacy_small)
@@ -435,7 +435,7 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
             live_doc = observe_json(observation_document(telemetry.snapshot()))
             telemetry.reset()
             telemetry.enable_observation()
-            run_fig3(kernel="vector", **obs_kwargs)
+            run_fig3(**obs_kwargs)
             vector_doc = observe_json(observation_document(telemetry.snapshot()))
         finally:
             telemetry.enable_observation(False)
@@ -447,7 +447,6 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
         # seed-deterministic, so any drift is a behaviour change
         start = time.perf_counter()
         mega = run_fig3(
-            kernel="vector",
             localities=localities,
             n_trials=int(config["mega_trials"]),
             seed=seed,

@@ -381,46 +381,30 @@ def _slo_panel(doc: Dict[str, Any]) -> List[str]:
 
 
 def _profile_panel(doc: Dict[str, Any]) -> List[str]:
-    """The self-profiling layer: ``profile.*`` stage timers as a table,
-    ``profile.*`` counters as stat tiles.  Stage wall times are
-    host-dependent — this panel only appears when profiling was enabled,
-    so default bundles stay byte-comparable."""
+    """The self-profiling layer: ``profile.*`` stage timers as a table.
+    Stage wall times are host-dependent — this panel only appears when
+    profiling was enabled, so default bundles stay byte-comparable."""
     stages = {
         name: stats
         for name, stats in doc.get("histograms", {}).items()
         if name.startswith("profile.")
     }
-    counters = {
-        name: value
-        for name, value in doc.get("counters", {}).items()
-        if name.startswith("profile.")
-    }
-    out: List[str] = []
-    if stages:
-        out.append(
-            "<table><tr><th>stage</th><th>calls</th><th>total s</th>"
-            "<th>mean s</th><th>p95 s</th></tr>"
-        )
-        for name, stats in sorted(stages.items()):
-            row = [
-                _esc(name),
-                _num(stats["count"]),
-                f"{stats['sum']:.6f}",
-                f"{stats['mean']:.6f}",
-                f"{stats['p95']:.6f}",
-            ]
-            out.append(
-                "<tr>" + "".join(f"<td>{v}</td>" for v in row) + "</tr>"
-            )
-        out.append("</table>")
-    if counters:
-        out.append("<div class=tiles>")
-        for name, value in sorted(counters.items()):
-            out.append(
-                f"<div class=tile><div class=v>{_num(value)}</div>"
-                f"<div class=n>{_esc(name)}</div></div>"
-            )
-        out.append("</div>")
+    if not stages:
+        return []
+    out = [
+        "<table><tr><th>stage</th><th>calls</th><th>total s</th>"
+        "<th>mean s</th><th>p95 s</th></tr>"
+    ]
+    for name, stats in sorted(stages.items()):
+        row = [
+            _esc(name),
+            _num(stats["count"]),
+            f"{stats['sum']:.6f}",
+            f"{stats['mean']:.6f}",
+            f"{stats['p95']:.6f}",
+        ]
+        out.append("<tr>" + "".join(f"<td>{v}</td>" for v in row) + "</tr>")
+    out.append("</table>")
     return out
 
 

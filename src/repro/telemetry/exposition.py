@@ -853,7 +853,7 @@ def observation_drops(doc: Dict[str, Any]) -> List[Tuple[str, int]]:
 
 def format_profile_report(doc: Dict[str, Any]) -> str:
     """Terminal summary of the self-profiling layer (``repro profile``):
-    the ``profile.*`` stage timers and route-memo counters an enabled
+    the ``profile.*`` stage timers an enabled
     :class:`~repro.telemetry.profile.Profiler` left in the document.
 
     Stage wall times are inherently host-dependent, so this report —
@@ -865,31 +865,17 @@ def format_profile_report(doc: Dict[str, Any]) -> str:
         for name, stats in doc.get("histograms", {}).items()
         if name.startswith("profile.")
     }
-    counters = {
-        name: value
-        for name, value in doc.get("counters", {}).items()
-        if name.startswith("profile.")
-    }
-    lines = [f"self-profile: {doc.get('title', '?')} [{doc['schema']}]"]
-    if not stages and not counters:
-        lines.append("")
+    lines = [f"self-profile: {doc.get('title', '?')} [{doc['schema']}]", ""]
+    if not stages:
         lines.append("no profile data (re-run with profiling enabled)")
         return "\n".join(lines) + "\n"
-    if stages:
-        lines.append("")
-        lines.append(f"stages ({len(stages)}):")
-        width = max(len(n) for n in stages)
-        for name, stats in sorted(stages.items()):
-            lines.append(
-                f"  {name:<{width}}  calls={stats['count']:>7}"
-                f"  total={stats['sum']:.6f}s"
-                f"  mean={stats['mean']:.6f}s"
-                f"  p95={stats['p95']:.6f}s"
-            )
-    if counters:
-        lines.append("")
-        lines.append(f"counters ({len(counters)}):")
-        width = max(len(n) for n in counters)
-        for name, value in sorted(counters.items()):
-            lines.append(f"  {name:<{width}}  {_num(value):>12}")
+    lines.append(f"stages ({len(stages)}):")
+    width = max(len(n) for n in stages)
+    for name, stats in sorted(stages.items()):
+        lines.append(
+            f"  {name:<{width}}  calls={stats['count']:>7}"
+            f"  total={stats['sum']:.6f}s"
+            f"  mean={stats['mean']:.6f}s"
+            f"  p95={stats['p95']:.6f}s"
+        )
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Self-profiling: stage timers for the engine and kernel fast paths.
 
-The fast paths (route-memo resolution, vector kernel batches, cached
+The fast paths (cold-trial resolution, vector kernel batches, cached
 replay, pool dispatch) are exactly the places where a ``Timer`` per call
 would distort what it measures.  This module follows the tracer's
 zero-cost-when-disabled discipline instead: a :class:`Profiler` guard

@@ -1,4 +1,4 @@
-"""Unit tests for the bounded LRU both engine caches sit on."""
+"""Unit tests for the bounded LRU the engine's trial cache sits on."""
 
 from repro.engine import LRUCache, MISSING
 

@@ -143,7 +143,8 @@ class TestFastPathGates:
         key = (16, 0.5, 7, False)
         entry = engine._trials.get(key)
         engine._trials.put(
-            key, TrialEntry(entry.result, entry.attempts, ((0, 4),))
+            key,
+            TrialEntry(entry.result, entry.attempts, ((0, 4),), entry.grant_log),
         )
         live_before = engine.trials_live
         result = engine.run_csd_trial(16, 0.5, 7, retry_policy=DEFAULT_POLICY)

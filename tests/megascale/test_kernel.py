@@ -1,5 +1,5 @@
 """Lockstep validation of the vector CSD kernel against the live
-network (the same cross-validation pattern ``engine/routes.py`` uses).
+network.
 
 The hypothesis property drives one interleaved connect/shift program
 through :class:`VectorCSDNetwork` and :class:`DynamicCSDNetwork`

@@ -117,6 +117,37 @@ class TestExpressIdentity:
         assert net.express_eligible()
 
 
+class TestCycleBudget:
+    """``max_cycles`` budgets one delivery, not the network's lifetime:
+    a network whose clock is already past the default budget still
+    delivers, and stepped and express delivery trip at the same cycle."""
+
+    SRC, DST, N_FLITS, QCAP = (0, 0), (0, 3), 3, 4
+
+    def _deliver(self, express, max_cycles=100_000):
+        net = RouterNetwork(4, 4, queue_capacity=self.QCAP)
+        net.cycle_count = 100_001
+        packet = make_packet(self.SRC, self.DST, n_flits=self.N_FLITS, packet_id=0)
+        if express:
+            net.deliver_express(packet, max_cycles=max_cycles)
+        else:
+            net.inject(packet)
+            net.run_until_drained(max_cycles=max_cycles)
+        return net.record_for(0), net.cycle_count
+
+    def test_aged_network_still_delivers_identically(self):
+        stepped = self._deliver(express=False)
+        assert self._deliver(express=True) == stepped
+        assert stepped[0].injected_at == 100_001
+
+    def test_over_budget_delivery_still_raises_at_the_same_point(self):
+        drain = worm_schedule(self.SRC, self.DST, self.N_FLITS, self.QCAP).drain_at
+        for express in (False, True):
+            self._deliver(express, max_cycles=drain)
+            with pytest.raises(SimulationError, match="cycle budget"):
+                self._deliver(express, max_cycles=drain - 1)
+
+
 class TestSampledExpressIdentity:
     """With a sampler attached, express delivery must reproduce the
     stepped run's buffer-depth heatmap *sample for sample* — the

@@ -82,6 +82,17 @@ class TestAdmission:
             TenantQuota(4, mailbox_slots=0)
 
 
+class TestLongLivedNetwork:
+    def test_aged_network_clock_still_creates(self):
+        """The NoC cycle budget is per delivery: a resident fabric whose
+        network has already lived past it keeps serving requests."""
+        fabric = ResidentFabric(4, 4)
+        fabric.vlsi.network.cycle_count = 100_000
+        fabric.admit("t0", 4, slot=0)
+        fabric.create("t0", "p0", 3)
+        assert fabric.vlsi.network.cycle_count > 100_000
+
+
 class TestQuotas:
     def test_cluster_quota_exhaustion(self):
         fabric = small_fabric()

@@ -740,6 +740,12 @@ def _cmd_defrag(
     from repro.planner import scenario_names
     from repro.planner.report import defrag_report, report_json
 
+    if max_passes < 1:
+        print(
+            f"defrag: --max-passes must be at least 1 (got {max_passes})",
+            file=sys.stderr,
+        )
+        return 2
     if scenario == "all":
         names = scenario_names()
     elif scenario in scenario_names():
@@ -1007,9 +1013,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_defrag.add_argument(
         "--plan", choices=("legacy", "naive", "minimal"), default="minimal",
-        help="execution strategy: 'legacy' (the release-then-reconfigure "
-        "loop), 'naive' (same moves planned first; byte-identical report "
-        "to legacy), or 'minimal' (delta rewiring; default)",
+        help="execution strategy: 'legacy' (the compaction schedule run "
+        "as release-then-reconfigure), 'naive' (its moves planned first; "
+        "byte-identical report to legacy), or 'minimal' (delta rewiring; "
+        "default)",
     )
     p_defrag.add_argument(
         "--mode", choices=("auto", "greedy", "exact"), default="auto",

@@ -11,19 +11,30 @@ Only INACTIVE processors move (their memory is open and nothing is
 executing); ACTIVE/SLEEP processors are left in place, which bounds how
 much compaction one pass can achieve — exactly the trade-off a real
 system would face.
+
+The compaction policy is written once, as the pure schedule
+:func:`simulate_compaction`: each pass visits the INACTIVE processors in
+fold order of their first cluster, lets each search with its own
+clusters counted as free, and moves it to the earliest free run if that
+starts earlier — otherwise puts it back.  Passes repeat until one moves
+nothing.  :class:`Defragmenter` executes that schedule visit by visit;
+the planners in :mod:`repro.planner` price it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Container, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.noc.wormhole import WORM_FAILURES
-from repro.topology.folding import serpentine_unfold
+from repro.topology.regions import Region, path_region
 
-__all__ = ["MoveRecord", "Defragmenter"]
+__all__ = ["MoveRecord", "Visit", "CompactionSchedule", "Defragmenter",
+           "earliest_free_run", "relocate", "simulate_compaction"]
+
+Coord = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,132 @@ class MoveRecord:
     old_start: Tuple[int, int]
     new_start: Tuple[int, int]
     clusters: int
+
+
+@dataclass(frozen=True)
+class Visit:
+    """One visit of the compaction schedule (pass numbers start at 1).
+
+    A visit with ``new == old`` is a put-back: the processor was
+    released to widen the search, found nothing earlier, and goes
+    straight back where it was.
+    """
+
+    name: str
+    pass_index: int
+    old: Region
+    new: Region
+
+    @property
+    def moved(self) -> bool:
+        return self.new != self.old
+
+
+@dataclass(frozen=True)
+class CompactionSchedule:
+    """The compaction of one chip snapshot, visit by visit."""
+
+    visits: Tuple[Visit, ...]
+    #: Passes run, including the final one that moves nothing (it still
+    #: puts every processor back).
+    passes: int
+    #: name -> region after compaction settles.
+    final: Dict[str, Region]
+    #: The snapshot the schedule was computed from: the fold order, each
+    #: coordinate's fold index, every coordinate a movable processor may
+    #: occupy (free clusters plus the movable processors' own), and the
+    #: movable (INACTIVE) processors' regions.
+    order: Tuple[Coord, ...]
+    fold: Dict[Coord, int]
+    pool: FrozenSet[Coord]
+    start: Dict[str, Region]
+
+    @property
+    def moves(self) -> Tuple[Visit, ...]:
+        return tuple(visit for visit in self.visits if visit.moved)
+
+    @property
+    def putbacks(self) -> Tuple[Visit, ...]:
+        return tuple(visit for visit in self.visits if not visit.moved)
+
+
+def earliest_free_run(
+    order: Iterable[Coord],
+    pool: Container[Coord],
+    occupied: Container[Coord],
+    n: int,
+) -> Optional[Region]:
+    """First contiguous fold-order run of ``n`` coordinates that are in
+    ``pool`` and not in ``occupied`` — the set-based twin of
+    :meth:`ClusterAllocator.find_serpentine`."""
+    run: List[Coord] = []
+    for coord in order:
+        if coord in pool and coord not in occupied:
+            run.append(coord)
+            if len(run) == n:
+                return path_region(run)
+        else:
+            run = []
+    return None
+
+
+def simulate_compaction(
+    vlsi: VLSIProcessor, max_passes: int = 8
+) -> CompactionSchedule:
+    """Compute the compaction of ``vlsi`` without touching the fabric."""
+    fabric = vlsi.fabric
+    order = tuple(fabric.linear_order())
+    fold = {coord: index for index, coord in enumerate(order)}
+    start = {
+        name: instance.region
+        for name, instance in vlsi.processors.items()
+        if instance.state.state is ProcessorState.INACTIVE
+    }
+    free = {coord for coord in order if fabric.cluster(coord).is_free}
+    pool = frozenset(free.union(*(region.path for region in start.values())))
+    layout = dict(start)
+    visits: List[Visit] = []
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        moved = False
+        # only the visited processor moves, so the unvisited ones keep
+        # their fold keys: one sort per pass is the same order as taking
+        # the minimum *current* key before every visit
+        for name in sorted(layout, key=lambda p: fold[layout[p].path[0]]):
+            old = layout[name]
+            free.update(old.path)
+            target = earliest_free_run(order, free, (), len(old))
+            if target is None or fold[target.path[0]] >= fold[old.path[0]]:
+                target = old
+            free.difference_update(target.path)
+            layout[name] = target
+            visits.append(Visit(name, passes, old, target))
+            moved = moved or target is not old
+        if not moved:
+            break
+    return CompactionSchedule(
+        tuple(visits), passes, layout, order, fold, pool, start
+    )
+
+
+def relocate(vlsi: VLSIProcessor, name: str, old: Region, new: Region) -> None:
+    """Release ``name``'s region ``old`` and configure ``new`` in its place.
+
+    A worm that fails mid-configure (an injected switch fault, a
+    conflicting worm) is rolled back: ``old`` is configured straight
+    back before the failure propagates, so no processor is ever left
+    regionless — a put-back (``new == old``) included.  Mailbox contents
+    move with the processor (spill/fill through the open memory blocks,
+    §3.3).
+    """
+    vlsi.configurator.release(old, owner=name)
+    try:
+        vlsi.configurator.configure(new, owner=name)
+    except WORM_FAILURES:
+        vlsi.configurator.configure(old, owner=name)
+        raise
+    vlsi.processors[name].region = new
 
 
 class Defragmenter:
@@ -48,8 +185,7 @@ class Defragmenter:
         :class:`repro.planner.MinimalPlanner`).  When set,
         :meth:`compact_until_stable` plans the whole compaction first and
         executes it as delta rewirings; when ``None`` (the default) the
-        legacy release-then-reconfigure loop runs, byte-identical to the
-        pre-planner behaviour.
+        schedule runs as release-then-reconfigure, put-backs included.
     """
 
     def __init__(
@@ -71,75 +207,26 @@ class Defragmenter:
             return 0.0
         return 1.0 - self.vlsi.allocator.largest_free_run() / free
 
-    def _fold_index(self, coord: Tuple[int, int]) -> int:
-        return serpentine_unfold(coord, self.vlsi.fabric.cols)
-
     # -- compaction ---------------------------------------------------------
 
-    def compact(self) -> List[MoveRecord]:
-        """One compaction pass.
-
-        Processors are visited in fold order of their first cluster —
-        the key is re-derived from the *current* layout on every
-        iteration, never from a stale pre-pass sort (fold indices are
-        unique, so the order is deterministic).  Each INACTIVE processor
-        is re-configured onto the earliest free serpentine run if that
-        moves its start earlier.  Mailbox contents move with the
-        processor (spill/fill through the open memory blocks, §3.3).
-
-        A move that fails mid-reconfigure (an injected switch fault, a
-        conflicting worm) is rolled back: the processor's old region is
-        configured straight back before the failure propagates, so no
-        processor is ever left regionless.
-        """
-        moves: List[MoveRecord] = []
-        visited = set()
-        while True:
-            pending = [
-                p
-                for p in self.vlsi.processors.values()
-                if p.name not in visited
-                and p.state.state is ProcessorState.INACTIVE
-            ]
-            if not pending:
-                break
-            instance = min(
-                pending, key=lambda p: self._fold_index(p.region.path[0])
-            )
-            visited.add(instance.name)
-            name = instance.name
-            n = instance.n_clusters
-            old_region = instance.region
-            old_start = old_region.path[0]
-            # free our own clusters first so the search can reuse them
-            self.vlsi.configurator.release(old_region, owner=name)
-            target = self.vlsi.allocator.find_serpentine(n)
-            if target is None or self._fold_index(target.path[0]) >= self._fold_index(old_start):
-                # no better spot: put it back where it was
-                self.vlsi.configurator.configure(old_region, owner=name)
-                continue
-            try:
-                self.vlsi.configurator.configure(target, owner=name)
-            except WORM_FAILURES:
-                # rollback: restore the released region before propagating
-                self.vlsi.configurator.configure(old_region, owner=name)
-                raise
-            # spill/fill: the mailbox (memory-block state) moves along
-            instance.region = target
-            moves.append(MoveRecord(name, old_start, target.path[0], n))
-        return moves
-
     def compact_until_stable(self, max_passes: int = 8) -> List[MoveRecord]:
-        """Repeat passes until nothing moves (or the pass budget ends).
+        """Compact until a pass moves nothing (or the pass budget ends).
+
+        Without a planner, every visit of :func:`simulate_compaction`
+        runs in order through :func:`relocate` — a put-back releases and
+        re-configures the same region — so the configurator sees the
+        release/configure sequence the schedule describes.  A visit that
+        fails is rolled back and the failure propagates; earlier visits
+        stay applied.
 
         With a ``planner`` attached, the whole compaction is planned
         against a snapshot first and executed as minimal delta rewirings
         (the plan lands in :attr:`last_plan`); the returned move records
-        are shaped exactly like the legacy loop's.
+        are shaped exactly like the schedule's.
         """
         if self.planner is not None:
-            # imported here: repro.planner depends on this module's
-            # MoveRecord, so a top-level import would be circular
+            # imported here: repro.planner depends on this module, so a
+            # top-level import would be circular
             from repro.planner.execute import execute_plan
 
             plan = self.planner.plan_compaction(
@@ -147,10 +234,12 @@ class Defragmenter:
             )
             self.last_plan = plan
             return execute_plan(self.vlsi, plan)
-        all_moves: List[MoveRecord] = []
-        for _ in range(max_passes):
-            moves = self.compact()
-            if not moves:
-                break
-            all_moves.extend(moves)
-        return all_moves
+        moves: List[MoveRecord] = []
+        for visit in simulate_compaction(self.vlsi, max_passes).visits:
+            relocate(self.vlsi, visit.name, visit.old, visit.new)
+            if visit.moved:
+                moves.append(MoveRecord(
+                    visit.name, visit.old.path[0], visit.new.path[0],
+                    len(visit.new),
+                ))
+        return moves

@@ -8,8 +8,6 @@ difference:
 
 * :mod:`repro.planner.cost` — directed-edge diffing and the
   switch-write / config-flit cost model;
-* :mod:`repro.planner.simulate` — pure replay of the legacy compaction
-  loop (the shared ground truth both planners price);
 * :mod:`repro.planner.naive` — the release-then-reconfigure baseline,
   priced honestly (including its put-back overhead);
 * :mod:`repro.planner.minimal` — the delta planner: greedy at scale, an
@@ -20,15 +18,21 @@ difference:
   suite behind ``repro defrag`` and ``BENCH_planner.json``;
 * :mod:`repro.planner.report` — the canonical ``repro defrag`` report
   (CI byte-compares ``--plan naive`` against ``--plan legacy`` with it).
+
+Both planners price the compaction schedule the planner-less
+:class:`repro.core.defrag.Defragmenter` executes —
+:func:`repro.core.defrag.simulate_compaction`, re-exported here — and
+never re-derive it; the exact search only looks for cheaper
+alternatives to its moves.
 """
 
+from repro.core.defrag import simulate_compaction
 from repro.planner.execute import execute_plan
 from repro.planner.minimal import MinimalPlanner
 from repro.planner.naive import NaivePlanner
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan, SwitchOp
 from repro.planner.report import defrag_report, report_json
 from repro.planner.scenarios import SCENARIOS, build_scenario, scenario_names
-from repro.planner.simulate import simulate_compaction
 
 __all__ = [
     "SwitchOp",

@@ -14,17 +14,19 @@ therefore compares directed edge sets:
   chain switch and the unidirectional shift switch.
 
 The naive release-then-reconfigure path unchains *every* old edge and
-chains *every* new edge regardless of overlap; the legacy defrag loop
-additionally pays a "put-back" (full release + re-configure in place)
-for each visited processor it decides not to move.  Those are the costs
-:func:`naive_move_cost` and :func:`putback_cost` account for.
+chains *every* new edge regardless of overlap; the legacy compaction
+schedule (:func:`repro.core.defrag.simulate_compaction`) additionally
+pays a "put-back" (full release + re-configure in place) for each
+visited processor it decides not to move.  Those are the costs
+:func:`naive_move_cost` and :func:`putback_cost` account for;
+:func:`delta_move` prices one relocation both ways.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.planner.plan import RewireCost, SwitchOp
+from repro.planner.plan import RegionMove, RewireCost, SwitchOp
 from repro.topology.regions import Region
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "full_unchain_ops",
     "naive_move_cost",
     "putback_cost",
+    "delta_move",
 ]
 
 Coord = Tuple[int, int]
@@ -98,7 +101,21 @@ def naive_move_cost(old: Region, new: Region) -> RewireCost:
 
 
 def putback_cost(region: Region) -> RewireCost:
-    """What the legacy defrag loop pays to *visit without moving*: it
+    """What the legacy compaction pays to *visit without moving*: it
     releases the region to widen the search, finds nothing better, and
     configures the identical region straight back."""
     return naive_move_cost(region, region)
+
+
+def delta_move(name: str, old: Region, new: Region) -> RegionMove:
+    """``name``'s relocation ``old -> new`` as directed-edge delta ops,
+    priced beside what release-then-reconfigure would pay for it."""
+    ops = diff_regions(old, new)
+    return RegionMove(
+        name=name,
+        old=old,
+        new=new,
+        ops=ops,
+        cost=ops_cost(ops),
+        naive_cost=naive_move_cost(old, new),
+    )

@@ -15,8 +15,9 @@ move executes — while still containing the direct-hop schedules that
 beat greedy.
 
 A schedule is *accepted* when its final largest free run is at least as
-long as the greedy fixpoint's (free-cluster count is move-invariant, so
-this is exactly "fragmentation no worse than greedy").  Branch-and-bound
+long as the greedy fixpoint's, the final layout of the compaction
+schedule it is handed (free-cluster count is move-invariant, so this is
+exactly "fragmentation no worse than greedy").  Branch-and-bound
 minimises delta rewiring cost over accepted schedules, seeded with the
 greedy plan's cost so the result is greedy-or-better **always**; a node
 budget bounds the worst case, falling back to the best schedule found
@@ -26,11 +27,11 @@ budget bounds the worst case, falling back to the best schedule found
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.planner.cost import diff_regions, naive_move_cost, ops_cost
+from repro.core.defrag import CompactionSchedule, earliest_free_run
+from repro.planner.cost import delta_move
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
-from repro.planner.simulate import earliest_free_run
 from repro.topology.regions import Region
 
 __all__ = ["ExactSearch", "search_exact"]
@@ -49,7 +50,7 @@ class ExactSearch:
     exhausted: bool
 
 
-def _largest_run(order: List[Coord], free: Set[Coord]) -> int:
+def _largest_run(order: Iterable[Coord], free: Set[Coord]) -> int:
     best = run = 0
     for coord in order:
         if coord in free:
@@ -61,11 +62,7 @@ def _largest_run(order: List[Coord], free: Set[Coord]) -> int:
 
 
 def search_exact(
-    order: List[Coord],
-    pool: Set[Coord],
-    layout: Dict[str, Region],
-    fold: Dict[Coord, int],
-    quality_floor: int,
+    schedule: CompactionSchedule,
     seed_cost: int,
     node_budget: int = 50_000,
 ) -> ExactSearch:
@@ -73,21 +70,20 @@ def search_exact(
 
     Parameters
     ----------
-    order:
-        The fabric's fold order.
-    pool:
-        Every coordinate a movable processor may occupy (initially-free
-        clusters plus the movable processors' own clusters).
-    layout:
-        Movable processors' starting regions.
-    fold:
-        Coordinate -> fold index.
-    quality_floor:
-        Minimum acceptable final largest free run (the greedy fixpoint's).
+    schedule:
+        The legacy compaction of the chip: its snapshot (fold order,
+        pool, movable processors' starting regions) is the search's
+        start, its final layout sets the quality floor.
     seed_cost:
         The greedy plan's delta cost; only strictly cheaper accepted
         schedules are reported.
     """
+    order, pool, fold, layout = (
+        schedule.order, schedule.pool, schedule.fold, schedule.start
+    )
+    quality_floor = _largest_run(
+        order, pool.difference(*(r.path for r in schedule.final.values()))
+    )
     names = sorted(layout, key=lambda n: fold[layout[n].path[0]])
     best_cost = seed_cost
     best_moves: Optional[Tuple[RegionMove, ...]] = None
@@ -102,7 +98,7 @@ def search_exact(
             occupied.update(region.path)
         return {coord for coord in pool if coord not in occupied}
 
-    def dfs(moved: Set[str], schedule: List[RegionMove], cost: int) -> None:
+    def dfs(moved: Set[str], chosen: List[RegionMove], cost: int) -> None:
         nonlocal best_cost, best_moves, nodes, exhausted
         if exhausted:
             return
@@ -114,7 +110,7 @@ def search_exact(
             return
         if _largest_run(order, free_now()) >= quality_floor:
             best_cost = cost
-            best_moves = tuple(schedule)
+            best_moves = tuple(chosen)
             # keep searching siblings: a cheaper schedule may still exist
         for name in names:
             if name in moved:
@@ -129,20 +125,12 @@ def search_exact(
                 continue
             if fold[target.path[0]] >= fold[region.path[0]]:
                 continue
-            ops = diff_regions(region, target)
-            move = RegionMove(
-                name=name,
-                old=region,
-                new=target,
-                ops=ops,
-                cost=ops_cost(ops),
-                naive_cost=naive_move_cost(region, target),
-            )
+            move = delta_move(name, region, target)
             current[name] = target
             moved.add(name)
-            schedule.append(move)
-            dfs(moved, schedule, cost + move.cost.total)
-            schedule.pop()
+            chosen.append(move)
+            dfs(moved, chosen, cost + move.cost.total)
+            chosen.pop()
             moved.discard(name)
             current[name] = region
 

@@ -3,10 +3,11 @@
 The executor is deliberately strict: each move must find the fabric in
 exactly the state the plan snapshot assumed (same owner, same region,
 still INACTIVE) — a stale plan raises :class:`PlannerError` instead of
-improvising.  Naive plans replay the legacy release-then-reconfigure
-sequence (with the rollback discipline the legacy path now has); delta
-plans go through :meth:`WormholeConfigurator.reconfigure`, which never
-leaves the processor regionless.
+improvising.  Naive plans move through :func:`repro.core.defrag.relocate`,
+the release-then-reconfigure step (with rollback) the planner-less
+defragmenter runs; delta plans go through
+:meth:`WormholeConfigurator.reconfigure`.  Neither leaves a processor
+regionless.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 from typing import List
 
 from repro import telemetry
-from repro.core.defrag import MoveRecord
+from repro.core.defrag import MoveRecord, relocate
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import PlannerError
-from repro.noc.wormhole import WORM_FAILURES
 from repro.planner.plan import RewirePlan
 
 __all__ = ["execute_plan", "record_plan_savings"]
@@ -29,8 +29,8 @@ def execute_plan(vlsi: VLSIProcessor, plan: RewirePlan) -> List[MoveRecord]:
 
     Put-backs are not part of any plan's move list (the naive plan only
     *prices* them), so a naive plan's execution leaves the fabric in the
-    same state as the legacy loop without paying the redundant
-    release/configure pairs twice at runtime.
+    same state as the planner-less defragmenter without running its
+    redundant release/configure pairs.
     """
     records: List[MoveRecord] = []
     for move in plan.moves:
@@ -46,15 +46,10 @@ def execute_plan(vlsi: VLSIProcessor, plan: RewirePlan) -> List[MoveRecord]:
                 f"{instance.state.state.value}, not inactive"
             )
         if plan.mode == "naive":
-            vlsi.configurator.release(move.old, owner=move.name)
-            try:
-                vlsi.configurator.configure(move.new, owner=move.name)
-            except WORM_FAILURES:
-                vlsi.configurator.configure(move.old, owner=move.name)
-                raise
+            relocate(vlsi, move.name, move.old, move.new)
         else:
             vlsi.configurator.reconfigure(move.old, move.new, owner=move.name)
-        instance.region = move.new
+            instance.region = move.new
         records.append(
             MoveRecord(
                 move.name, move.old.path[0], move.new.path[0], len(move.new)

@@ -10,7 +10,8 @@ released just to widen a search.
 
 Three modes:
 
-* ``greedy`` — keep the legacy move *schedule* (so the final layout is
+* ``greedy`` — keep the legacy compaction schedule's moves
+  (:func:`repro.core.defrag.simulate_compaction`, so the final layout is
   byte-identical to what ``compact_until_stable`` produces) but execute
   each move as a delta rewire.  Scales to any chip.
 * ``exact``  — branch-and-bound over single-relocation schedules
@@ -30,15 +31,13 @@ from __future__ import annotations
 
 from typing import Collection, List, Optional, Set, Tuple
 
-from repro.core.states import ProcessorState
+from repro.core.defrag import simulate_compaction
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
 from repro.errors import PlannerError
-from repro.planner.cost import diff_regions, naive_move_cost, ops_cost
+from repro.planner.cost import delta_move
 from repro.planner.exact import build_plan, exact_plan_meta, search_exact
-from repro.planner.naive import plan_from_sim
+from repro.planner.naive import price_schedule
 from repro.planner.plan import RegionMove, RewirePlan
-from repro.planner.simulate import simulate_compaction
-from repro.topology.folding import serpentine_unfold
 from repro.topology.regions import Region, path_region
 
 __all__ = ["MinimalPlanner"]
@@ -70,63 +69,32 @@ class MinimalPlanner:
     def plan_compaction(
         self, vlsi: VLSIProcessor, max_passes: int = 8
     ) -> RewirePlan:
-        """Plan the compaction the legacy loop would perform, minimally."""
-        sim = simulate_compaction(vlsi, max_passes=max_passes)
-        naive = plan_from_sim(sim)
-
-        greedy_moves: List[RegionMove] = []
-        for sim_move in sim.moves:
-            ops = diff_regions(sim_move.old, sim_move.new)
-            greedy_moves.append(
-                RegionMove(
-                    name=sim_move.name,
-                    old=sim_move.old,
-                    new=sim_move.new,
-                    ops=ops,
-                    cost=ops_cost(ops),
-                    naive_cost=naive_move_cost(sim_move.old, sim_move.new),
-                )
-            )
+        """Plan the compaction the legacy schedule describes, minimally."""
+        schedule = simulate_compaction(vlsi, max_passes=max_passes)
+        naive = price_schedule(schedule)
         greedy = build_plan(
-            tuple(greedy_moves), naive.cost, "greedy",
-            meta={"passes": sim.passes, "putbacks_avoided": len(sim.putbacks)},
+            tuple(delta_move(v.name, v.old, v.new) for v in schedule.moves),
+            naive.cost, "greedy",
+            meta={
+                "passes": schedule.passes,
+                "putbacks_avoided": len(schedule.putbacks),
+            },
         )
-        if self.mode == "greedy":
+        if self.mode == "greedy" or (
+            self.mode == "auto" and len(schedule.start) > self.exact_limit
+        ):
             return greedy
-
-        movable = {
-            name: instance.region
-            for name, instance in vlsi.processors.items()
-            if instance.state.state is ProcessorState.INACTIVE
-        }
-        if self.mode == "auto" and len(movable) > self.exact_limit:
-            return greedy
-
-        fabric = vlsi.fabric
-        order = list(fabric.linear_order())
-        fold = {c: serpentine_unfold(c, fabric.cols) for c in order}
-        pool: Set[Coord] = {
-            c for c in order if fabric.cluster(c).is_free
-        }
-        for region in movable.values():
-            pool.update(region.path)
-        occupied_final: Set[Coord] = set()
-        for region in sim.final.values():
-            occupied_final.update(region.path)
-        quality_floor = _largest_run_of(order, pool - occupied_final)
         result = search_exact(
-            order, pool, movable, fold,
-            quality_floor=quality_floor,
+            schedule,
             seed_cost=greedy.cost.total,
             node_budget=self.node_budget,
         )
         meta = dict(greedy.meta)
         meta.update(exact_plan_meta(result))
-        if result.moves is None:
-            # nothing beat the greedy seed: the greedy schedule *is* the
-            # exact answer (or the budget ran out and greedy is the bound)
-            return build_plan(greedy.moves, naive.cost, "exact", meta=meta)
-        return build_plan(result.moves, naive.cost, "exact", meta=meta)
+        # when nothing beat the greedy seed, the greedy schedule *is* the
+        # exact answer (or the budget ran out and greedy is the bound)
+        moves = greedy.moves if result.moves is None else result.moves
+        return build_plan(moves, naive.cost, "exact", meta=meta)
 
     # -- scaling ------------------------------------------------------------
 
@@ -151,9 +119,7 @@ class MinimalPlanner:
         size = len(instance.region) + extra_clusters
 
         best: Optional[RegionMove] = None
-        best_key: Optional[Tuple[int, int]] = None
         run: List[Coord] = []
-        index = 0
         for coord in fabric.linear_order():
             eligible = (
                 (scope is None or coord in scope)
@@ -164,22 +130,13 @@ class MinimalPlanner:
             else:
                 run = []
             if len(run) >= size:
-                window = run[-size:]
-                candidate = path_region(window)
-                ops = diff_regions(instance.region, candidate)
-                cost = ops_cost(ops)
-                key = (cost.total, index - size + 1)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = RegionMove(
-                        name=instance.name,
-                        old=instance.region,
-                        new=candidate,
-                        ops=ops,
-                        cost=cost,
-                        naive_cost=naive_move_cost(instance.region, candidate),
-                    )
-            index += 1
+                move = delta_move(
+                    instance.name, instance.region, path_region(run[-size:])
+                )
+                # windows arrive in start order: only a strictly cheaper
+                # one displaces the earliest of the cheapest
+                if best is None or move.cost.total < best.cost.total:
+                    best = move
         return best
 
     def plan_shrink(
@@ -197,24 +154,6 @@ class MinimalPlanner:
                 f"{len(instance.region)} clusters"
             )
         old = instance.region
-        new = Region(old.path[:-drop_clusters])
-        ops = diff_regions(old, new)
-        return RegionMove(
-            name=instance.name,
-            old=old,
-            new=new,
-            ops=ops,
-            cost=ops_cost(ops),
-            naive_cost=naive_move_cost(old, new),
+        return delta_move(
+            instance.name, old, Region(old.path[:-drop_clusters])
         )
-
-
-def _largest_run_of(order: List[Coord], free: Set[Coord]) -> int:
-    best = current = 0
-    for coord in order:
-        if coord in free:
-            current += 1
-            best = max(best, current)
-        else:
-            current = 0
-    return best

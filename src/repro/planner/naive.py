@@ -1,12 +1,11 @@
-"""The naive planner: price the legacy loop exactly as it behaves.
+"""The naive planner: price the legacy compaction exactly as it runs.
 
-It plans the *same* relocations the legacy
-``Defragmenter.compact_until_stable`` performs — same visit order, same
-targets, same pass structure — and charges each one at full
-release-then-reconfigure rates.  It also charges the legacy loop's
-hidden overhead: every visited processor that does **not** move is still
-released (to widen the search) and configured straight back, paying a
-full unchain + rechain of its own region.
+It prices the schedule :func:`repro.core.defrag.simulate_compaction`
+computes — the one the planner-less ``Defragmenter`` executes — visit
+for visit, at full release-then-reconfigure rates.  That includes the
+schedule's put-backs: every visited processor that does **not** move is
+still released (to widen the search) and configured straight back,
+paying a full unchain + rechain of its own region.
 
 ``plan.cost == plan.naive_cost`` by definition; the plan exists so the
 minimal planner has an honest baseline and so ``--plan naive`` can be
@@ -15,6 +14,7 @@ byte-compared against the legacy execution path in CI.
 
 from __future__ import annotations
 
+from repro.core.defrag import CompactionSchedule, simulate_compaction
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.planner.cost import (
     full_chain_ops,
@@ -23,41 +23,33 @@ from repro.planner.cost import (
     putback_cost,
 )
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
-from repro.planner.simulate import CompactionSim, simulate_compaction
 
-__all__ = ["NaivePlanner", "plan_from_sim"]
+__all__ = ["NaivePlanner", "price_schedule"]
 
 
-def plan_from_sim(sim: CompactionSim) -> RewirePlan:
-    """Price a simulated legacy run at release-then-reconfigure rates."""
+def price_schedule(schedule: CompactionSchedule) -> RewirePlan:
+    """Price every visit of a compaction schedule at
+    release-then-reconfigure rates; put-backs are overhead, not moves."""
     moves = []
-    total = RewireCost()
-    for sim_move in sim.moves:
-        ops = full_unchain_ops(sim_move.old) + full_chain_ops(sim_move.new)
+    overhead = RewireCost()
+    for visit in schedule.visits:
+        if not visit.moved:
+            overhead = overhead + putback_cost(visit.old)
+            continue
+        ops = full_unchain_ops(visit.old) + full_chain_ops(visit.new)
         cost = ops_cost(ops)
         moves.append(
-            RegionMove(
-                name=sim_move.name,
-                old=sim_move.old,
-                new=sim_move.new,
-                ops=ops,
-                cost=cost,
-                naive_cost=cost,
-            )
+            RegionMove(visit.name, visit.old, visit.new, ops, cost, cost)
         )
-        total = total + cost
-    overhead = RewireCost()
-    for visit in sim.putbacks:
-        overhead = overhead + putback_cost(visit.region)
-    total = total + overhead
+    total = sum((move.cost for move in moves), overhead)
     return RewirePlan(
         moves=tuple(moves),
         cost=total,
         naive_cost=total,
         mode="naive",
         meta={
-            "passes": sim.passes,
-            "putbacks": len(sim.putbacks),
+            "passes": schedule.passes,
+            "putbacks": len(schedule.putbacks),
             "putback_switch_writes": overhead.switch_writes,
             "putback_config_flits": overhead.config_flits,
         },
@@ -66,11 +58,11 @@ def plan_from_sim(sim: CompactionSim) -> RewirePlan:
 
 class NaivePlanner:
     """Plans compaction exactly as the legacy release-then-reconfigure
-    loop executes it.  Useful only as the cost baseline."""
+    path executes it.  Useful only as the cost baseline."""
 
     mode = "naive"
 
     def plan_compaction(
         self, vlsi: VLSIProcessor, max_passes: int = 8
     ) -> RewirePlan:
-        return plan_from_sim(simulate_compaction(vlsi, max_passes=max_passes))
+        return price_schedule(simulate_compaction(vlsi, max_passes=max_passes))

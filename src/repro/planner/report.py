@@ -5,8 +5,11 @@ One report prices and executes a set of scenarios under one strategy
 canonical shape: sorted keys, stable float derivations, a SHA-256 digest
 of the final layout.  The shape is strategy-agnostic on purpose — CI
 byte-compares the ``--plan naive`` report against the ``--plan legacy``
-one to prove the planned path replays the legacy loop exactly (same
-moves, same layout, same predicted cost ledger).
+one.  Both follow the one compaction schedule, so the comparison holds
+the two executors (``execute_plan`` running the naive plan's moves, the
+planner-less defragmenter relocating visit by visit) to the same moves,
+layout and cost ledger; a change to the schedule itself shows in the
+report digests the test suite pins.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def _run_scenario(
     vlsi = build_scenario(name)
     defrag = Defragmenter(vlsi)
     fragmentation_before = defrag.fragmentation()
-    # the naive plan predicts the legacy loop's ledger from the initial
+    # the naive plan prices the legacy schedule from the initial
     # snapshot — it is the cost section of the legacy report, and the
     # baseline every other strategy's savings are measured against
     if plan == "legacy":

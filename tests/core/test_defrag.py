@@ -1,10 +1,15 @@
 """Unit tests for fabric defragmentation (section 5)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.defrag import Defragmenter
+from repro.core.allocation import ClusterAllocator
+from repro.core.defrag import Defragmenter, earliest_free_run
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import FaultInjectionError, RegionError
+from repro.topology.folding import serpentine_unfold
+from repro.topology.s_topology import STopology
 
 
 def fragmented_chip():
@@ -74,13 +79,13 @@ class TestCompaction:
     def test_stable_chip_no_moves(self):
         chip = VLSIProcessor(4, 4, with_network=False)
         chip.create_processor("A", n_clusters=4)
-        assert Defragmenter(chip).compact() == []
+        assert Defragmenter(chip).compact_until_stable(max_passes=1) == []
 
     def test_idempotent(self):
         chip = fragmented_chip()
         defrag = Defragmenter(chip)
         defrag.compact_until_stable()
-        assert defrag.compact() == []
+        assert defrag.compact_until_stable(max_passes=1) == []
 
 
 class _OneShotFault:
@@ -105,7 +110,7 @@ class TestMoveRollback:
         before = {n: p.region for n, p in chip.processors.items()}
         chip.configurator.faults = _OneShotFault()
         with pytest.raises(FaultInjectionError):
-            Defragmenter(chip).compact()
+            Defragmenter(chip).compact_until_stable(max_passes=1)
         assert {n: p.region for n, p in chip.processors.items()} == before
         # ownership and chaining are fully restored too
         for proc in chip.processors.values():
@@ -115,12 +120,28 @@ class TestMoveRollback:
             for coord in proc.region.path:
                 assert chip.fabric.cluster(coord).owner == proc.name
 
+    def test_failed_putback_restores_the_region(self):
+        # the head processor has nowhere earlier to go: its visit is a
+        # put-back, and the re-configure is the worm the fault hits
+        chip = VLSIProcessor(4, 4, with_network=False)
+        region = chip.create_processor("A", n_clusters=4).region
+        chip.configurator.faults = _OneShotFault()
+        with pytest.raises(FaultInjectionError):
+            Defragmenter(chip).compact_until_stable()
+        assert chip.processor("A").region == region
+        assert chip.fabric.chained_component(region.path[0]) == set(
+            region.path
+        )
+        for coord in region.path:
+            assert chip.fabric.cluster(coord).owner == "A"
+        assert chip.allocator.free_count() == 12
+
     def test_compaction_succeeds_once_the_fault_clears(self):
         chip = fragmented_chip()
         chip.configurator.faults = _OneShotFault()
         defrag = Defragmenter(chip)
         with pytest.raises(FaultInjectionError):
-            defrag.compact()
+            defrag.compact_until_stable(max_passes=1)
         # the one-shot fault is consumed: the retry compacts fully
         defrag.compact_until_stable()
         assert defrag.fragmentation() == 0.0
@@ -133,8 +154,9 @@ class TestVisitOrder:
     def test_moves_follow_fold_order_within_a_pass(self):
         chip = fragmented_chip()
         defrag = Defragmenter(chip)
-        moves = defrag.compact()
-        starts = [defrag._fold_index(m.old_start) for m in moves]
+        moves = defrag.compact_until_stable(max_passes=1)
+        cols = chip.fabric.cols
+        starts = [serpentine_unfold(m.old_start, cols) for m in moves]
         assert starts == sorted(starts)
 
     def test_compaction_reaches_a_fixpoint(self):
@@ -143,5 +165,34 @@ class TestVisitOrder:
         defrag.compact_until_stable()
         # per-iteration key derivation and the fixpoint agree: another
         # pass finds every processor already at its earliest run
-        assert defrag.compact() == []
+        assert defrag.compact_until_stable(max_passes=1) == []
         assert defrag.fragmentation() == 0.0
+
+
+class TestEarliestFreeRun:
+    """The compaction schedule's set-based search picks exactly the run
+    the live allocator would — the one check on the schedule's target
+    choice that does not go through the schedule itself."""
+
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        states=st.lists(
+            st.sampled_from(("free", "owned", "defective")),
+            min_size=25, max_size=25,
+        ),
+        n=st.integers(1, 26),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_find_serpentine(self, rows, cols, states, n):
+        fabric = STopology(rows, cols)
+        order = fabric.linear_order()
+        for coord, state in zip(order, states):
+            if state == "owned":
+                fabric.cluster(coord).allocate("x")
+            elif state == "defective":
+                fabric.cluster(coord).mark_defective()
+        free = {coord for coord in order if fabric.cluster(coord).is_free}
+        assert earliest_free_run(order, free, set(), n) == (
+            ClusterAllocator(fabric).find_serpentine(n)
+        )

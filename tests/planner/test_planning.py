@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.core.defrag import Defragmenter
 from repro.errors import PlannerError
 from repro.planner import (
@@ -31,6 +32,22 @@ class TestSimulation:
             (m.name, m.old_start, m.new_start, m.clusters) for m in legacy
         ]
         assert planned == executed
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_naive_ledger_prices_what_legacy_runs(self, name):
+        # the planner-less path must still pay every put-back at runtime:
+        # one configure per visit, one chained switch per ledger flit
+        chip = build_scenario(name)
+        naive = NaivePlanner().plan_compaction(chip)
+        telemetry.reset()
+        Defragmenter(chip).compact_until_stable()
+        counters = telemetry.snapshot()["counters"]
+        assert counters["wormhole.switches_programmed"] == (
+            naive.cost.config_flits
+        )
+        assert counters["wormhole.configures"] == (
+            len(naive.moves) + naive.meta["putbacks"]
+        )
 
     def test_simulation_never_mutates_the_chip(self):
         chip = build_scenario("checkerboard")

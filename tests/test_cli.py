@@ -364,8 +364,8 @@ class TestVectorKernelFlag:
 
 
 class TestSweepArgumentErrors:
-    """Hostile fig3/faults arguments exit 2 with one stderr line before
-    any sweep work starts — never a traceback, never a silent fallback."""
+    """Hostile fig3/faults/defrag arguments exit 2 with one stderr line
+    before any work starts — never a traceback, never a silent fallback."""
 
     @pytest.mark.parametrize("argv", [
         ["fig3", "--trials", "0"],
@@ -379,6 +379,9 @@ class TestSweepArgumentErrors:
         ["faults", "--workers", "0"],
         ["faults", "--csd-rate", "1.5"],
         ["faults", "--engine", "--csd-rate", "nan"],
+        ["defrag", "--max-passes", "0"],
+        ["defrag", "--max-passes", "-3"],
+        ["defrag", "--scenario", "nope"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main([*argv, "--quiet"]) == 2

@@ -458,12 +458,16 @@ def _cmd_baseline(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read baseline: {exc}", file=sys.stderr)
         return 2
-    regressions = check_baseline(
-        baseline,
-        throughput_tolerance=args.throughput_tolerance,
-        latency_tolerance=args.latency_tolerance,
-        skip_wallclock=args.skip_wallclock,
-    )
+    try:
+        regressions = check_baseline(
+            baseline,
+            throughput_tolerance=args.throughput_tolerance,
+            latency_tolerance=args.latency_tolerance,
+            skip_wallclock=args.skip_wallclock,
+        )
+    except ValueError as exc:
+        print(f"baseline: {exc}", file=sys.stderr)
+        return 2
     if regressions:
         print(f"{args.baseline_file}: {len(regressions)} regression(s):")
         for line in regressions:

@@ -44,6 +44,7 @@ from repro.faults.campaign import (
     _aggregate_campaign_point,
     _capture_before,
     _capture_delta,
+    _check_rates,
     RetryPolicy,
     record_campaign_gauges,
     run_campaign,
@@ -261,8 +262,7 @@ def run_faults(
     if not n_objects_list:
         raise ValueError("need at least one array size")
     _check_sweep(n_objects_list, n_trials)
-    if any(not 0.0 <= r <= 1.0 for r in rates):
-        raise ValueError("fault rate must be in [0, 1]")
+    _check_rates(rates, csd_rate)
     if _traced():
         return run_campaign(
             rates, n_objects_list=n_objects_list, n_trials=n_trials,

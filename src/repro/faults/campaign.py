@@ -478,6 +478,14 @@ def campaign_point(
 # -- campaign sweep (serial and process-pool paths) -------------------------
 
 
+def _check_rates(rates: Sequence[float], csd_rate: Optional[float]) -> None:
+    """Reject a swept rate or ``csd_rate`` outside [0, 1], NaN included,
+    before any trial runs (in this process, not in a pool worker)."""
+    checked = list(rates) if csd_rate is None else [*rates, csd_rate]
+    if any(not 0.0 <= r <= 1.0 for r in checked):
+        raise ValueError("fault rate must be in [0, 1]")
+
+
 def run_campaign(
     rates: Sequence[float],
     n_objects_list: Sequence[int] = (16, 32, 64),
@@ -503,6 +511,7 @@ def run_campaign(
         raise ValueError("need at least one fault rate")
     if not n_objects_list:
         raise ValueError("need at least one array size")
+    _check_rates(rates, csd_rate)
     grid = [(n, r) for r in rates for n in n_objects_list]
     points: List[Dict[str, Any]]
     if workers is not None and workers > 1:

@@ -33,6 +33,10 @@ RNG derived from ``(seed, crc32(site))`` — so whether a site is faulty
 never depends on query order, process boundaries, or how many other
 sites were examined first.  That property is what makes the Monte-Carlo
 campaign bit-identical between ``--workers 1`` and ``--workers N``.
+The hooks ask about the same sites over and over (a fault campaign asks
+about each distinct site about eight times), so each plan memoizes its
+answers, keyed by every input of the draw; a memoized answer is the one
+a fresh derivation would give.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ class FaultPlan:
         transient_fraction: float = DEFAULT_TRANSIENT_FRACTION,
         transient_hits: int = DEFAULT_TRANSIENT_HITS,
     ) -> None:
-        if default_rate < 0 or default_rate > 1:
+        if not 0.0 <= default_rate <= 1.0:
             raise ValueError("fault rate must be a probability in [0, 1]")
         if not 0 <= transient_fraction <= 1:
             raise ValueError("transient fraction must be in [0, 1]")
@@ -129,7 +133,7 @@ class FaultPlan:
             raise ValueError("transient faults need at least one trigger")
         rates = dict(rates) if rates else {}
         for kind, rate in rates.items():
-            if rate < 0 or rate > 1:
+            if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind} must be in [0, 1]")
         self.seed = int(seed)
         self.default_rate = float(default_rate)
@@ -138,6 +142,11 @@ class FaultPlan:
         }
         self.transient_fraction = float(transient_fraction)
         self.transient_hits = int(transient_hits)
+        # draw() answers, keyed by every input of the derivation; lives
+        # and dies with the plan (one trial), never serialized
+        self._draws: Dict[
+            Tuple[int, float, float, int, FaultKind, str], Optional[Fault]
+        ] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -168,12 +177,24 @@ class FaultPlan:
         """The fault at ``site`` (or None) — pure in ``(seed, kind, site)``.
 
         The same plan asked about the same site always answers the same,
-        in any process, in any order, because the site RNG is re-derived
-        from scratch on every call.
+        in any process, in any order: the site RNG is derived from
+        ``(seed, crc32(site))`` alone, once per site, and the answer is
+        memoized on the plan keyed by every input of the draw (seed,
+        the kind's rate, the transient knobs, kind and site), so a
+        changed rate or knob derives afresh.
         """
         rate = self.rate_for(kind)
         if rate == 0.0:
             return None
+        key = (
+            self.seed, rate, self.transient_fraction, self.transient_hits,
+            kind, site,
+        )
+        if key not in self._draws:
+            self._draws[key] = self._derive(kind, site, rate)
+        return self._draws[key]
+
+    def _derive(self, kind: FaultKind, site: str, rate: float) -> Optional[Fault]:
         rng = np.random.default_rng(
             (self.seed, zlib.crc32(f"{kind.value}:{site}".encode("utf-8")))
         )

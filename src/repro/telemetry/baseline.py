@@ -58,6 +58,7 @@ returns a list of regression descriptions (empty = pass).
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -520,10 +521,28 @@ def check_baseline(
     baseline's own configuration.  A 20% synthetic throughput drop or a
     20% synthetic p95-latency inflation fails at the default 15%
     tolerances — that is the guard's acceptance contract.
+
+    Raises
+    ------
+    ValueError
+        On a document that is not a baseline, or a tolerance that would
+        switch a check off: ``throughput_tolerance`` outside [0, 1) or
+        ``latency_tolerance`` negative or not finite (NaN included).
+        Both are checked before anything is measured.
     """
     if not isinstance(baseline, dict) or baseline.get("schema") != BASELINE_SCHEMA:
         raise ValueError(
             f"not a baseline document (want schema {BASELINE_SCHEMA!r})"
+        )
+    if not 0.0 <= throughput_tolerance < 1.0:
+        raise ValueError(
+            f"throughput tolerance must lie in [0, 1) "
+            f"(got {throughput_tolerance:g})"
+        )
+    if not 0.0 <= latency_tolerance < math.inf:
+        raise ValueError(
+            f"latency tolerance must be finite and >= 0 "
+            f"(got {latency_tolerance:g})"
         )
     if measured is None:
         measured = measure_bench(baseline["bench"], baseline["config"])

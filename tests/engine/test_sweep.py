@@ -203,6 +203,9 @@ class TestFaultsIdentity:
             dict(rates=RATES, n_objects_list=[], n_trials=3),
             dict(rates=RATES, n_objects_list=N_OBJECTS, n_trials=0),
             dict(rates=[1.5], n_objects_list=N_OBJECTS, n_trials=3),
+            dict(rates=[float("nan")], n_objects_list=N_OBJECTS, n_trials=3),
+            dict(rates=RATES, n_objects_list=N_OBJECTS, n_trials=3,
+                 csd_rate=float("nan")),
             dict(rates=RATES, n_objects_list=[1], n_trials=3),
         ]
         bad_fig3 = [

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.csd.simulator import _sweep_point
+from repro.engine import run_faults
 from repro.faults.campaign import (
     CAMPAIGN_SCHEMA,
     campaign_point,
@@ -13,6 +14,7 @@ from repro.faults.campaign import (
     run_campaign,
     run_fault_trial,
 )
+from repro.faults.model import FaultPlan
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +96,13 @@ class TestTrialAndPoint:
             run_campaign([], n_objects_list=[16])
         with pytest.raises(ValueError):
             run_campaign([0.1], n_objects_list=[])
+        with pytest.raises(ValueError):
+            run_campaign([float("nan")], n_objects_list=[16], n_trials=1)
+        with pytest.raises(ValueError):
+            run_campaign(
+                [0.0], n_objects_list=[16], n_trials=1, seed=1,
+                csd_rate=float("nan"),
+            )
 
 
 class TestReportSchema:
@@ -119,3 +128,24 @@ class TestReportSchema:
         )
         by_rate = {p["rate"]: p["survival"] for p in report["points"]}
         assert by_rate[0.0] >= by_rate[0.5]
+
+
+class TestDrawMemoIsExact:
+    """A campaign whose every draw is derived afresh, with no memo,
+    writes the same report bytes as the memoized one."""
+
+    RATES = [0.05, 0.2]
+    KW = dict(n_objects_list=(16, 32), n_trials=2, seed=7)
+
+    @pytest.mark.parametrize("runner", [run_campaign, run_faults])
+    def test_report_matches_memo_free_draws(self, monkeypatch, runner):
+        memoized = report_json(runner(self.RATES, **self.KW))
+        draw = FaultPlan.draw
+        monkeypatch.setattr(
+            FaultPlan, "draw",
+            lambda plan, kind, site: draw(
+                FaultPlan.from_dict(plan.as_dict()), kind, site
+            ),
+        )
+        telemetry.reset()
+        assert report_json(runner(self.RATES, **self.KW)) == memoized

@@ -1,7 +1,8 @@
 """Unit tests for the fault universe (FaultPlan / Fault / site keys)."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.model import (
@@ -33,7 +34,7 @@ class TestFaultPlanBasics:
         assert plan.rate_for(FaultKind.NOC_LINK) == 0.5
         assert plan.rate_for(FaultKind.SWITCH) == 0.0
 
-    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
     def test_bad_rates_rejected(self, rate):
         with pytest.raises(ValueError):
             FaultPlan(default_rate=rate)
@@ -89,6 +90,78 @@ class TestDrawDeterminism:
         plan = FaultPlan.uniform(5, 1.0, transient_fraction=0.0)
         for i in range(20):
             assert plan.draw(FaultKind.SWITCH, junction_site(i)).permanent
+
+
+class TestDrawMemo:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.floats(0.0, 1.0, exclude_min=True),
+        transient_fraction=st.floats(0.0, 1.0),
+        transient_hits=st.integers(1, 5),
+        edits=st.tuples(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(0.0, 1.0),
+            st.integers(1, 5),
+            st.integers(0, 2**32 - 1),
+        ),
+        queries=st.lists(
+            st.tuples(st.sampled_from(list(FaultKind)), st.integers(0, 4)),
+            min_size=1, max_size=30,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_memo_answers_like_a_fresh_plan(
+        self, seed, rate, transient_fraction, transient_hits, edits, queries
+    ):
+        """Repeated queries, asked again after each input of the draw
+        changes in turn (one kind's rate, the transient knobs, the
+        seed): every answer equals a fresh plan's, so the memo key
+        covers every input and never leaks into the plan's description."""
+        knobs = dict(
+            seed=seed, default_rate=rate,
+            transient_fraction=transient_fraction,
+            transient_hits=transient_hits,
+        )
+        plan = FaultPlan(**knobs)
+        described = plan.as_dict()
+        sites = [(kind, f"site/{i}") for kind, i in queries]
+        changed = sites[0][0]
+        new_rate, new_fraction, new_hits, new_seed = edits
+        for attr, value in [
+            (None, None),
+            ("rates", {changed: new_rate}),
+            ("transient_fraction", new_fraction),
+            ("transient_hits", new_hits),
+            ("seed", new_seed),
+        ]:
+            if attr is not None:
+                setattr(plan, attr, value)
+                knobs[attr] = value
+            for kind, site in sites:
+                assert plan.draw(kind, site) == FaultPlan(**knobs).draw(
+                    kind, site
+                )
+            if attr is None:
+                assert plan.as_dict() == described
+
+    def test_one_generator_per_site(self, monkeypatch):
+        """50 sites asked 8 times each build 50 generators, not 400."""
+        real = np.random.default_rng
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        plan = FaultPlan.uniform(11, 0.5)
+        sites = [junction_site(i) for i in range(50)]
+        answers = [
+            [plan.draw(FaultKind.SWITCH, site) for site in sites]
+            for _ in range(8)
+        ]
+        assert len(built) == 50
+        assert all(round_ == answers[0] for round_ in answers)
 
 
 class TestRoundTrip:

@@ -100,6 +100,26 @@ class TestCheck:
         assert any("missing" in r for r in regressions)
         assert any("absent from baseline" in r for r in regressions)
 
+    @pytest.mark.parametrize("tolerances", [
+        dict(throughput_tolerance=float("nan")),
+        dict(throughput_tolerance=1.0),
+        dict(throughput_tolerance=-0.1),
+        dict(latency_tolerance=float("nan")),
+        dict(latency_tolerance=float("inf")),
+        dict(latency_tolerance=-0.1),
+    ])
+    def test_tolerance_that_disables_a_check_is_rejected(
+        self, tiny_baseline, tolerances
+    ):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_baseline(tiny_baseline, tiny_baseline, **tolerances)
+
+    def test_zero_tolerances_are_valid(self, tiny_baseline):
+        assert check_baseline(
+            tiny_baseline, tiny_baseline,
+            throughput_tolerance=0.0, latency_tolerance=0.0,
+        ) == []
+
     def test_latency_metric_gets_threshold_not_identity(self):
         base = {
             "schema": BASELINE_SCHEMA,

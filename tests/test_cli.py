@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__, telemetry
 from repro.__main__ import main
+from repro.telemetry import baseline
 
 
 @pytest.fixture(autouse=True)
@@ -427,6 +428,31 @@ class TestBaselineCommand:
             ["baseline", "record", "--bench", "fig9",
              "--out", str(tmp_path / "x.json")]
         ) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--throughput-tolerance", "nan"],
+        ["--throughput-tolerance", "1"],
+        ["--throughput-tolerance", "-0.1"],
+        ["--latency-tolerance", "nan"],
+    ])
+    def test_tolerance_that_disables_a_check_exits_2(
+        self, capsys, monkeypatch, tmp_path, flags
+    ):
+        """Rejected before any bench runs: measuring would raise."""
+
+        def no_bench(*args, **kwargs):
+            raise AssertionError("bench ran before the tolerance check")
+
+        monkeypatch.setattr(baseline, "measure_bench", no_bench)
+        doc = tmp_path / "BENCH_faults.json"
+        doc.write_text(json.dumps({
+            "schema": baseline.BASELINE_SCHEMA, "bench": "faults",
+            "config": {}, "deterministic": {},
+            "wallclock": {"points_per_s": 1e9},
+        }))
+        assert main(["baseline", "check", str(doc), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("baseline: ") and err.count("\n") == 1
 
 
 class TestFaultsCommand:

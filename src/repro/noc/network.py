@@ -92,6 +92,12 @@ class RouterNetwork:
         self._inject_backlog: Dict[Coord, Deque[Flit]] = {
             coord: deque() for coord in self.routers
         }
+        #: Flits queued in routers or awaiting injection: ``inject`` adds
+        #: a packet's flits, each LOCAL ejection subtracts one, ``purge``
+        #: zeroes it — the drain check reads it instead of scanning.
+        self._in_flight = 0
+        # per-packet bookkeeping, keyed by id while the packet is in
+        # flight; an entry leaves when its DeliveryRecord is made
         self._inject_time: Dict[int, int] = {}
         self._arrived_flits: Dict[int, int] = {}
         self._packet_meta: Dict[int, Packet] = {}
@@ -99,19 +105,31 @@ class RouterNetwork:
     # -- injection --------------------------------------------------------
 
     def inject(self, packet: Packet) -> None:
-        """Queue a packet for injection at its source router."""
-        if packet.src not in self.routers or packet.dst not in self.routers:
-            raise RoutingError(
-                f"packet {packet.packet_id} endpoints outside the grid"
-            )
-        if any(f.vc >= self.n_vcs for f in packet.flits):
-            raise RoutingError(
-                f"packet {packet.packet_id} uses a VC beyond the "
-                f"{self.n_vcs} provisioned"
-            )
+        """Queue a packet for injection at its source router.
+
+        Raises
+        ------
+        RoutingError
+            If an endpoint lies outside the grid, a flit uses an
+            unprovisioned VC, or a packet with the same id is still in
+            flight.
+        """
+        self._check_packet(packet)
         self._inject_time[packet.packet_id] = self.cycle_count
         self._packet_meta[packet.packet_id] = packet
         self._inject_backlog[packet.src].extend(packet.flits)
+        self._in_flight += len(packet.flits)
+
+    def _check_packet(self, packet: Packet) -> None:
+        pid = packet.packet_id
+        if packet.src not in self.routers or packet.dst not in self.routers:
+            raise RoutingError(f"packet {pid} endpoints outside the grid")
+        if any(f.vc >= self.n_vcs for f in packet.flits):
+            raise RoutingError(
+                f"packet {pid} uses a VC beyond the {self.n_vcs} provisioned"
+            )
+        if pid in self._packet_meta:
+            raise RoutingError(f"packet {pid} is already in flight")
 
     # -- simulation -------------------------------------------------------
 
@@ -136,6 +154,7 @@ class RouterNetwork:
         for coord, router, move in proposals:
             if move.out_port is Port.LOCAL:
                 flit = router.commit_move(move)
+                self._in_flight -= 1
                 if tracing:
                     tracer.complete(
                         "noc.hop", kind="flit", packet=flit.packet_id,
@@ -219,7 +238,8 @@ class RouterNetwork:
 
         The closed-form schedule (:mod:`repro.megascale.noc_kernel`) is
         exact only when nothing can perturb the cycle-by-cycle transport:
-        the network must be fully drained (no contention), no tracer span
+        the network must be fully drained (no contention — a read of the
+        in-flight flit count, not a scan of the routers), no tracer span
         per hop, and no fault injector that could stall a link (a
         pristine injector — rate-0 plan, nothing quarantined — is fine:
         its hooks are no-ops).  An attached sampler does *not* disqualify
@@ -262,23 +282,20 @@ class RouterNetwork:
         ``cycle_count``, and the ``noc.cycles`` / ``noc.flit_moves`` /
         ``noc.stalls`` / delivery counters.  Returns the delivery record.
 
+        The worm's flits never enter a queue, so the in-flight count
+        stays untouched.
+
         Raises
         ------
+        RoutingError
+            For the packets :meth:`inject` refuses.
         SimulationError
             When the schedule takes more than ``max_cycles`` cycles —
             the stepped run would have exhausted its cycle budget too.
         """
         from repro.megascale.noc_kernel import worm_schedule
 
-        if packet.src not in self.routers or packet.dst not in self.routers:
-            raise RoutingError(
-                f"packet {packet.packet_id} endpoints outside the grid"
-            )
-        if any(f.vc >= self.n_vcs for f in packet.flits):
-            raise RoutingError(
-                f"packet {packet.packet_id} uses a VC beyond the "
-                f"{self.n_vcs} provisioned"
-            )
+        self._check_packet(packet)
         schedule = worm_schedule(
             packet.src,
             packet.dst,
@@ -365,11 +382,13 @@ class RouterNetwork:
         self._arrived_flits[pid] = self._arrived_flits.get(pid, 0) + 1
         packet = self._packet_meta[pid]
         if self._arrived_flits[pid] == len(packet):
+            # the packet is whole: drop its bookkeeping so the id may return
+            del self._packet_meta[pid], self._arrived_flits[pid]
             record = DeliveryRecord(
                 packet_id=pid,
                 src=packet.src,
                 dst=packet.dst,
-                injected_at=self._inject_time[pid],
+                injected_at=self._inject_time.pop(pid),
                 delivered_at=self.cycle_count,
                 n_flits=len(packet),
             )
@@ -392,8 +411,10 @@ class RouterNetwork:
         This is the transport half of a worm retreat: after an aborted
         scaling operation rolled the fabric back, the dead worm's flits
         must not keep clogging the routers — a later, healthy operation
-        would otherwise fail :meth:`run_until_drained` forever.  Returns
-        the number of flits dropped.
+        would otherwise fail :meth:`run_until_drained` forever.  Nothing
+        is in flight afterwards: the in-flight count returns to zero and
+        the dropped packets' bookkeeping goes with them.  Returns the
+        number of flits dropped.
         """
         dropped = 0
         for router in self.routers.values():
@@ -401,6 +422,10 @@ class RouterNetwork:
         for backlog in self._inject_backlog.values():
             dropped += len(backlog)
             backlog.clear()
+        self._in_flight = 0
+        self._inject_time.clear()
+        self._arrived_flits.clear()
+        self._packet_meta.clear()
         if dropped:
             telemetry.counter("noc.purged_flits").inc(dropped)
             telemetry.event("noc.purge", flits=dropped)
@@ -409,16 +434,17 @@ class RouterNetwork:
     # -- state queries -----------------------------------------------------
 
     def is_drained(self) -> bool:
-        return (
-            all(not b for b in self._inject_backlog.values())
-            and all(r.is_idle for r in self.routers.values())
-        )
+        """Whether no flit is queued in a router or awaiting injection.
+
+        Answered from the in-flight count, not by scanning routers: with
+        no flit left every tail has passed, so no wormhole lock remains
+        either."""
+        return not self._in_flight
 
     def in_flight(self) -> int:
-        """Flits currently queued in routers or awaiting injection."""
-        return sum(r.occupancy() for r in self.routers.values()) + sum(
-            len(b) for b in self._inject_backlog.values()
-        )
+        """Flits currently queued in routers or awaiting injection — a
+        count :meth:`inject`, each LOCAL ejection and :meth:`purge` keep."""
+        return self._in_flight
 
     def buffer_depths(self) -> Dict[str, int]:
         """Queued-flit count per router, keyed ``"r<row>c<col>"`` in
@@ -445,8 +471,9 @@ class RouterNetwork:
 
         Most recent, not first: packet ids are scoped to whoever created
         the packet (e.g. a :class:`WormholeConfigurator`'s own counter),
-        so one network may legitimately see the same id twice over its
-        lifetime; callers always want the delivery they just drained.
+        so one network may legitimately see the same id again once the
+        earlier packet was delivered (an id still in flight is refused);
+        callers always want the delivery they just drained.
         """
         for rec in reversed(self.delivered):
             if rec.packet_id == packet_id:

@@ -168,9 +168,9 @@ class ResidentFabric:
         Raises
         ------
         AdmissionError
-            Duplicate tenant, tenant cap reached, shard slot out of
-            bounds or overlapping a resident tenant, or no free run of
-            the requested scale.
+            Duplicate tenant, tenant cap reached, a quota field below 1,
+            shard slot out of bounds or overlapping a resident tenant,
+            or no free run of the requested scale.
         """
         if name in self.tenants:
             raise AdmissionError(f"tenant {name!r} already admitted")
@@ -178,7 +178,10 @@ class ResidentFabric:
             raise AdmissionError(
                 f"tenant cap reached ({self.max_tenants} resident)"
             )
-        quota = TenantQuota(clusters, processors, mailbox_slots)
+        try:
+            quota = TenantQuota(clusters, processors, mailbox_slots)
+        except ValueError as exc:
+            raise AdmissionError(str(exc)) from None
         order = self.vlsi.fabric.linear_order()
         if slot is not None:
             if slot < 0 or slot + clusters > len(order):

@@ -59,6 +59,7 @@ class STopology:
         self.rows = rows
         self.cols = cols
         self.resources = resources or ClusterResources()
+        self._linear_order: Tuple[Coord, ...] = tuple(serpentine_order(rows, cols))
         self._clusters: Dict[Coord, Cluster] = {
             (r, c): Cluster((r, c), self.resources)
             for r in range(rows)
@@ -113,8 +114,11 @@ class STopology:
         return [cl for cl in self._clusters.values() if cl.is_free]
 
     def linear_order(self) -> List[Coord]:
-        """The whole-grid serpentine stack order (Figure 4(c))."""
-        return serpentine_order(self.rows, self.cols)
+        """The whole-grid serpentine stack order (Figure 4(c)).
+
+        Folded once when the fabric is built; each call returns a fresh
+        list the caller may mutate."""
+        return list(self._linear_order)
 
     # -- switches --------------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from repro.service.fabric import ResidentFabric
 from repro.service.protocol import make_request
 from repro.service.server import (
+    REJECT_COST,
     FabricServer,
     FabricService,
     InProcessClient,
@@ -94,6 +95,19 @@ class TestRejections:
         assert after["ok"]
         assert after["result"]["owned_clusters"] == 2
 
+    @pytest.mark.parametrize("field", ["clusters", "processors", "mailbox_slots"])
+    def test_hello_with_a_quota_below_one_is_rejected(self, field):
+        svc = service()
+        (resp,) = drive(
+            svc, make_request("hello", "t0", 0, 40, **{"clusters": 2, field: 0})
+        )
+        assert not resp["ok"]
+        assert resp["error"]["kind"] == "AdmissionError"
+        assert resp["latency_cycles"] == REJECT_COST
+        assert resp["completion_cycle"] == 40 + REJECT_COST
+        assert svc.fabric.tenants == {}
+        assert svc.fabric.admitted_total == 0
+
     def test_invalid_envelope_rejected(self):
         (resp,) = drive(service(), {"op": "nope", "tenant": "t", "seq": 0,
                                     "issue_cycle": 0})
@@ -180,6 +194,35 @@ class TestTCP:
         assert svc.fabric.vlsi.processors == {}
         assert svc.fabric.vlsi.free_clusters() == 16
         assert svc.fabric.reserved_switch_count() == 0
+
+    def test_bad_hello_keeps_the_connection(self):
+        svc = service()
+
+        async def go():
+            async with FabricServer(svc) as server:
+                client = await TCPClient.connect(server.host, server.port)
+                hello = await client.request(
+                    make_request("hello", "t0", 0, 0, clusters=4, slot=0)
+                )
+                bad = await client.request(
+                    make_request("hello", "t1", 0, 0, clusters=0)
+                )
+                create = await client.request(
+                    make_request(
+                        "create", "t0", 1, 10, processor="p0", clusters=2
+                    )
+                )
+                resident = sorted(svc.fabric.tenants)
+                await client.close()
+                return hello, bad, create, resident
+
+        hello, bad, create, resident = asyncio.run(go())
+        assert hello["ok"]
+        assert not bad["ok"]
+        assert bad["error"]["kind"] == "AdmissionError"
+        # the same connection still serves the tenant admitted before
+        assert create["ok"]
+        assert resident == ["t0"]
 
     def test_bye_then_disconnect_is_not_double_evicted(self):
         svc = service()

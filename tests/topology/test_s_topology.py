@@ -126,6 +126,33 @@ class TestLinearOrder:
         assert order[8] == (1, 7)  # the fold turns
         assert len(order) == 64
 
+    def test_folded_once_per_fabric(self, monkeypatch):
+        """Host-independent guard: the 256 coordinates of a 16x16 fold
+        are computed once, not once per call."""
+        from repro.core.allocation import ClusterAllocator
+        from repro.topology import folding
+
+        folds = []
+        fold = folding.serpentine_fold
+
+        def counted_fold(index, cols):
+            folds.append(index)
+            return fold(index, cols)
+
+        monkeypatch.setattr(folding, "serpentine_fold", counted_fold)
+        fab = STopology(16, 16)
+        allocator = ClusterAllocator(fab)
+        for _ in range(100):
+            assert len(fab.linear_order()) == 256
+            assert len(allocator.find_serpentine(4)) == 4
+        assert len(folds) <= 256
+
+    def test_returns_a_fresh_list(self, fabric):
+        order = fabric.linear_order()
+        assert isinstance(order, list)
+        order.reverse()
+        assert fabric.linear_order()[0] == (0, 0)
+
 
 class TestRender:
     def test_render_shows_owner_and_defect(self, fabric):

@@ -10,21 +10,25 @@ of the fold and coalescing free clusters into one contiguous tail.
 Only INACTIVE processors move (their memory is open and nothing is
 executing); ACTIVE/SLEEP processors are left in place, which bounds how
 much compaction one pass can achieve — exactly the trade-off a real
-system would face.
+system would face.  A ring (Figure 5) is not movable either: a fold run
+is a straight chain, so moving a ring onto one would silently drop its
+closing edge.  It stays in place like an ACTIVE processor.
 
 The compaction policy is written once, as the pure schedule
-:func:`simulate_compaction`: each pass visits the INACTIVE processors in
+:func:`simulate_compaction`: each pass visits the movable processors in
 fold order of their first cluster, lets each search with its own
 clusters counted as free, and moves it to the earliest free run if that
 starts earlier — otherwise puts it back.  Passes repeat until one moves
-nothing.  :class:`Defragmenter` executes that schedule visit by visit;
-the planners in :mod:`repro.planner` price it.
+nothing.  Free space is a fold-order bitmask and the run search is
+:func:`first_run`, the one primitive the exact search in
+:mod:`repro.planner.exact` uses too.  :class:`Defragmenter` executes the
+schedule visit by visit; the planners in :mod:`repro.planner` price it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Container, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
@@ -32,7 +36,7 @@ from repro.noc.wormhole import WORM_FAILURES
 from repro.topology.regions import Region, path_region
 
 __all__ = ["MoveRecord", "Visit", "CompactionSchedule", "Defragmenter",
-           "earliest_free_run", "relocate", "simulate_compaction"]
+           "first_run", "fold_mask", "relocate", "simulate_compaction"]
 
 Coord = Tuple[int, int]
 
@@ -79,7 +83,7 @@ class CompactionSchedule:
     #: The snapshot the schedule was computed from: the fold order, each
     #: coordinate's fold index, every coordinate a movable processor may
     #: occupy (free clusters plus the movable processors' own), and the
-    #: movable (INACTIVE) processors' regions.
+    #: movable (INACTIVE, not ring) processors' regions.
     order: Tuple[Coord, ...]
     fold: Dict[Coord, int]
     pool: FrozenSet[Coord]
@@ -94,24 +98,38 @@ class CompactionSchedule:
         return tuple(visit for visit in self.visits if not visit.moved)
 
 
-def earliest_free_run(
-    order: Iterable[Coord],
-    pool: Container[Coord],
-    occupied: Container[Coord],
-    n: int,
-) -> Optional[Region]:
-    """First contiguous fold-order run of ``n`` coordinates that are in
-    ``pool`` and not in ``occupied`` — the set-based twin of
-    :meth:`ClusterAllocator.find_serpentine`."""
-    run: List[Coord] = []
-    for coord in order:
-        if coord in pool and coord not in occupied:
-            run.append(coord)
-            if len(run) == n:
-                return path_region(run)
-        else:
-            run = []
-    return None
+def first_run(bits: int, n: int) -> Optional[int]:
+    """Lowest start of ``n`` consecutive set bits in ``bits``, or ``None``.
+
+    The compaction schedule and the exact search hold cluster sets as
+    fold-order bitmasks (bit ``i`` is ``order[i]``, see
+    :func:`fold_mask`), so this is the earliest fold run of ``n``
+    clusters in a set — the run :meth:`ClusterAllocator.find_serpentine`
+    picks on the live fabric.  Once every set bit starts a run of
+    ``span``, ``bits & (bits >> k)`` (``k <= span``) keeps the starts of
+    runs ``span + k``: doubling ``span``, then one last shift, reaches
+    ``n`` in about ``log2(n)`` shift-ANDs.  An empty run (``n < 1``)
+    starts at 0.
+    """
+    if n < 1:
+        return 0
+    span = 1
+    while 2 * span <= n:
+        bits &= bits >> span
+        span *= 2
+    if span < n:
+        bits &= bits >> (n - span)
+    if not bits:
+        return None
+    return (bits & -bits).bit_length() - 1
+
+
+def fold_mask(fold: Dict[Coord, int], coords: Iterable[Coord]) -> int:
+    """The fold-order bitmask of ``coords`` (bit ``fold[coord]`` set)."""
+    bits = 0
+    for coord in coords:
+        bits |= 1 << fold[coord]
+    return bits
 
 
 def simulate_compaction(
@@ -125,9 +143,12 @@ def simulate_compaction(
         name: instance.region
         for name, instance in vlsi.processors.items()
         if instance.state.state is ProcessorState.INACTIVE
+        and not instance.region.ring
     }
     free = {coord for coord in order if fabric.cluster(coord).is_free}
     pool = frozenset(free.union(*(region.path for region in start.values())))
+    free_bits = fold_mask(fold, free)
+    own = {name: fold_mask(fold, region.path) for name, region in start.items()}
     layout = dict(start)
     visits: List[Visit] = []
     passes = 0
@@ -139,11 +160,14 @@ def simulate_compaction(
         # the minimum *current* key before every visit
         for name in sorted(layout, key=lambda p: fold[layout[p].path[0]]):
             old = layout[name]
-            free.update(old.path)
-            target = earliest_free_run(order, free, (), len(old))
-            if target is None or fold[target.path[0]] >= fold[old.path[0]]:
-                target = old
-            free.difference_update(target.path)
+            size = len(old)
+            free_bits |= own[name]
+            at = first_run(free_bits, size)
+            target = old
+            if at is not None and at < fold[old.path[0]]:
+                target = path_region(order[at:at + size])
+                own[name] = ((1 << size) - 1) << at
+            free_bits &= ~own[name]
             layout[name] = target
             visits.append(Visit(name, passes, old, target))
             moved = moved or target is not old

@@ -8,7 +8,9 @@ wormhole reconfiguration."
 
 All four operations work on INACTIVE processors (their memory is open
 and nothing is executing) and preserve the linear-array invariant: a
-processor's region is always one grid-adjacent path.
+processor's region is always one grid-adjacent path.  They refuse a ring
+(Figure 5): each one rewires a chain end or a junction, which would
+leave the ring's closing edge chained to a cluster it no longer joins.
 """
 
 from __future__ import annotations
@@ -78,13 +80,14 @@ class ScalingController:
         Raises
         ------
         RegionError
-            If no free adjacent extension of that size exists.
+            If no free adjacent extension of that size exists, or the
+            processor is a ring.
         StateTransitionError
             If the processor is not INACTIVE.
         """
         if extra_clusters < 1:
             raise ValueError("need at least one extra cluster")
-        instance = self._inactive(name)
+        instance = self._scalable(name)
         self.last_rewire_saved = 0
         tracer = telemetry.tracer()
         with telemetry.scope("scaling.up_scale"), tracer.span(
@@ -205,9 +208,10 @@ class ScalingController:
         ------
         RegionError
             If the processor would shrink to nothing (use
-            :meth:`VLSIProcessor.destroy_processor` for that).
+            :meth:`VLSIProcessor.destroy_processor` for that), or is a
+            ring.
         """
-        instance = self._inactive(name)
+        instance = self._scalable(name)
         if drop_clusters < 1:
             raise ValueError("need at least one cluster to drop")
         if drop_clusters >= len(instance.region):
@@ -251,11 +255,12 @@ class ScalingController:
 
         The tail of ``first`` must be grid-adjacent to the head of
         ``second`` (their linear arrays concatenate).  Both must be
-        INACTIVE.  The fused processor keeps ``first``'s resources under
-        ``fused_name`` (default: ``first``'s name).
+        INACTIVE, and neither may be a ring (:class:`RegionError`).  The
+        fused processor keeps ``first``'s resources under ``fused_name``
+        (default: ``first``'s name).
         """
-        a = self._inactive(first)
-        b = self._inactive(second)
+        a = self._scalable(first)
+        b = self._scalable(second)
         tail, head = a.region.path[-1], b.region.path[0]
         if abs(tail[0] - head[0]) + abs(tail[1] - head[1]) != 1:
             raise RegionError(
@@ -300,9 +305,9 @@ class ScalingController:
 
         The first ``at`` clusters become ``head_name``, the rest
         ``tail_name``.  The junction switch is unchained; both halves
-        come back INACTIVE.
+        come back INACTIVE.  A ring is refused (:class:`RegionError`).
         """
-        instance = self._inactive(name)
+        instance = self._scalable(name)
         if not 0 < at < len(instance.region):
             raise RegionError(
                 f"split point {at} outside (0, {len(instance.region)})"
@@ -349,10 +354,13 @@ class ScalingController:
         for state, count in self.vlsi.lifecycle_census().items():
             telemetry.gauge(f"scaling.census.{state}").set(float(count))
 
-    def _inactive(self, name: str) -> ProcessorInstance:
+    def _scalable(self, name: str) -> ProcessorInstance:
+        """``name``'s instance, if it is INACTIVE and not a ring."""
         instance = self.vlsi.processor(name)
         if instance.state.state is not ProcessorState.INACTIVE:
             raise StateTransitionError(
                 f"scaling needs {name!r} INACTIVE, is {instance.state.state.value}"
             )
+        if instance.region.ring:
+            raise RegionError(f"cannot scale {name!r}: it is a ring")
         return instance

@@ -22,21 +22,34 @@ minimises delta rewiring cost over accepted schedules, seeded with the
 greedy plan's cost so the result is greedy-or-better **always**; a node
 budget bounds the worst case, falling back to the best schedule found
 (ultimately the greedy one).
+
+The search state is fold-order bitmasks (bit ``i`` is ``order[i]``),
+searched with :func:`repro.core.defrag.first_run` like the compaction
+schedule: a node's occupancy is one integer, a child's candidate space
+is ``pool & ~(occ & ~own)``, and a layout is accepted when the free
+space ``pool & ~occ`` holds a run as long as the quality floor.  A
+processor moves at most once and always from its start region, so each
+(processor, run start) pair is priced with :func:`delta_move` once per
+search: a :class:`~repro.topology.regions.Region` is built per priced
+move, never per node, and the chosen schedule returns those moves.  The
+DFS order is fixed — names by the fold index of ``path[0]``, then
+``nodes += 1``, the budget, ``cost >= best``, acceptance — so the node
+count in ``meta.exact_nodes`` is a function of the snapshot alone;
+``tests/planner/test_exact_oracle.py`` holds it, the moves and the cost
+equal to a set-based reference search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.defrag import CompactionSchedule, earliest_free_run
+from repro.core.defrag import CompactionSchedule, first_run, fold_mask
 from repro.planner.cost import delta_move
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
-from repro.topology.regions import Region
+from repro.topology.regions import path_region
 
 __all__ = ["ExactSearch", "search_exact"]
-
-Coord = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -48,17 +61,6 @@ class ExactSearch:
     cost: RewireCost
     nodes: int
     exhausted: bool
-
-
-def _largest_run(order: Iterable[Coord], free: Set[Coord]) -> int:
-    best = run = 0
-    for coord in order:
-        if coord in free:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
-    return best
 
 
 def search_exact(
@@ -78,27 +80,30 @@ def search_exact(
         The greedy plan's delta cost; only strictly cheaper accepted
         schedules are reported.
     """
-    order, pool, fold, layout = (
-        schedule.order, schedule.pool, schedule.fold, schedule.start
+    order, fold, start = schedule.order, schedule.fold, schedule.start
+    names = sorted(start, key=lambda n: fold[start[n].path[0]])
+    own = [fold_mask(fold, start[name].path) for name in names]
+    sizes = [len(start[name]) for name in names]
+    heads = [fold[start[name].path[0]] for name in names]
+    pool = fold_mask(fold, schedule.pool)
+    final_free = pool & ~fold_mask(
+        fold, (c for r in schedule.final.values() for c in r.path)
     )
-    quality_floor = _largest_run(
-        order, pool.difference(*(r.path for r in schedule.final.values()))
-    )
-    names = sorted(layout, key=lambda n: fold[layout[n].path[0]])
+    quality_floor = 0
+    while first_run(final_free, quality_floor + 1) is not None:
+        quality_floor += 1
+    # (processor index, run start) -> its one relocation: a processor
+    # moves at most once, always from its start region, so the move
+    # costs the same wherever the search reaches it
+    priced: Dict[Tuple[int, int], RegionMove] = {}
     best_cost = seed_cost
     best_moves: Optional[Tuple[RegionMove, ...]] = None
     nodes = 0
     exhausted = False
 
-    current: Dict[str, Region] = dict(layout)
-
-    def free_now() -> Set[Coord]:
-        occupied: Set[Coord] = set()
-        for region in current.values():
-            occupied.update(region.path)
-        return {coord for coord in pool if coord not in occupied}
-
-    def dfs(moved: Set[str], chosen: List[RegionMove], cost: int) -> None:
+    def dfs(
+        occ: int, moved: int, chosen: Tuple[RegionMove, ...], cost: int
+    ) -> None:
         nonlocal best_cost, best_moves, nodes, exhausted
         if exhausted:
             return
@@ -108,33 +113,30 @@ def search_exact(
             return
         if cost >= best_cost:
             return
-        if _largest_run(order, free_now()) >= quality_floor:
+        if first_run(pool & ~occ, quality_floor) is not None:
             best_cost = cost
-            best_moves = tuple(chosen)
+            best_moves = chosen
             # keep searching siblings: a cheaper schedule may still exist
-        for name in names:
-            if name in moved:
+        for j, name in enumerate(names):
+            if moved >> j & 1:
                 continue
-            region = current[name]
-            occupied: Set[Coord] = set()
-            for other, other_region in current.items():
-                if other != name:
-                    occupied.update(other_region.path)
-            target = earliest_free_run(order, pool, occupied, len(region))
-            if target is None or target.path == region.path:
+            others = occ & ~own[j]
+            at = first_run(pool & ~others, sizes[j])
+            # only a run starting before the fold index of path[0] is a
+            # move forward; that also rules out the region's own place
+            if at is None or at >= heads[j]:
                 continue
-            if fold[target.path[0]] >= fold[region.path[0]]:
-                continue
-            move = delta_move(name, region, target)
-            current[name] = target
-            moved.add(name)
-            chosen.append(move)
-            dfs(moved, chosen, cost + move.cost.total)
-            chosen.pop()
-            moved.discard(name)
-            current[name] = region
+            move = priced.get((j, at))
+            if move is None:
+                move = priced[j, at] = delta_move(
+                    name, start[name], path_region(order[at:at + sizes[j]])
+                )
+            dfs(
+                others | ((1 << sizes[j]) - 1) << at, moved | 1 << j,
+                chosen + (move,), cost + move.cost.total,
+            )
 
-    dfs(set(), [], 0)
+    dfs(fold_mask(fold, (c for r in start.values() for c in r.path)), 0, (), 0)
     if best_moves is None:
         return ExactSearch(None, RewireCost(), nodes, exhausted)
     total = RewireCost()

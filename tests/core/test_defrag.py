@@ -5,10 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import ClusterAllocator
-from repro.core.defrag import Defragmenter, earliest_free_run
+from repro.core.defrag import Defragmenter, first_run, fold_mask
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import FaultInjectionError, RegionError
+from repro.planner import MinimalPlanner
 from repro.topology.folding import serpentine_unfold
+from repro.topology.regions import path_region
+from repro.topology.rings import ring_region
 from repro.topology.s_topology import STopology
 
 
@@ -86,6 +89,25 @@ class TestCompaction:
         defrag = Defragmenter(chip)
         defrag.compact_until_stable()
         assert defrag.compact_until_stable(max_passes=1) == []
+
+    @pytest.mark.parametrize("planner", [
+        None, MinimalPlanner(mode="greedy"), MinimalPlanner(mode="exact"),
+    ], ids=["legacy", "greedy", "exact"])
+    def test_ring_stays_a_ring_in_place(self, planner):
+        # a fold run is a straight chain: moving the ring onto one would
+        # drop its closing edge, so it stays put like an ACTIVE processor
+        chip = VLSIProcessor(4, 4, with_network=False)
+        chip.create_processor("a", n_clusters=8)
+        ring = chip.create_processor(
+            "r", region=ring_region((2, 0), 2, 2)
+        ).region
+        chip.destroy_processor("a")
+        Defragmenter(chip, planner=planner).compact_until_stable()
+        assert chip.processor("r").region == ring
+        last, first = ring.path[-1], ring.path[0]
+        assert chip.fabric.chain_switch(last, first).is_chained
+        assert chip.fabric.shift_switch(last, first).is_chained
+        assert chip.fabric.chained_component(first) == set(ring.path)
 
 
 class _OneShotFault:
@@ -169,10 +191,10 @@ class TestVisitOrder:
         assert defrag.fragmentation() == 0.0
 
 
-class TestEarliestFreeRun:
-    """The compaction schedule's set-based search picks exactly the run
-    the live allocator would — the one check on the schedule's target
-    choice that does not go through the schedule itself."""
+class TestFirstRun:
+    """The bitmask run search shared by the compaction schedule and the
+    exact search picks exactly the run the live allocator would — the
+    one check on their target choice that goes through neither."""
 
     @given(
         rows=st.integers(1, 5),
@@ -192,7 +214,13 @@ class TestEarliestFreeRun:
                 fabric.cluster(coord).allocate("x")
             elif state == "defective":
                 fabric.cluster(coord).mark_defective()
-        free = {coord for coord in order if fabric.cluster(coord).is_free}
-        assert earliest_free_run(order, free, set(), n) == (
-            ClusterAllocator(fabric).find_serpentine(n)
+        fold = {coord: index for index, coord in enumerate(order)}
+        free = fold_mask(
+            fold, (coord for coord in order if fabric.cluster(coord).is_free)
         )
+        at = first_run(free, n)
+        expected = ClusterAllocator(fabric).find_serpentine(n)
+        if expected is None:
+            assert at is None
+        else:
+            assert path_region(order[at:at + n]) == expected

@@ -7,6 +7,7 @@ from repro.core.scaling import ScalingController
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.topology.regions import path_region
+from repro.topology.rings import ring_region
 
 
 @pytest.fixture
@@ -163,6 +164,49 @@ class TestSplit:
         # split it back into two small-scale processors
         h, t = scaler.split("MED", 2, "S1", "S2")
         assert h.n_clusters == t.n_clusters == 2
+
+
+def fabric_state(chip):
+    """Every switch's programming, every cluster's owner, every region."""
+    fabric = chip.fabric
+    return (
+        [(s.endpoints, s.state, s.reserved_by) for s in fabric.all_switches()],
+        [(c.coord, c.owner) for c in fabric.clusters()],
+        {name: p.region for name, p in chip.processors.items()},
+    )
+
+
+class TestRings:
+    """A Figure 5 ring is refused before the fabric is touched: every
+    operation rewires a chain end or a junction, which would leave the
+    ring's closing edge chained to a cluster it no longer joins."""
+
+    @staticmethod
+    def assert_refused(chip, operation):
+        before = fabric_state(chip)
+        with pytest.raises(RegionError, match="ring"):
+            operation()
+        assert fabric_state(chip) == before
+
+    def test_up_scale_refused(self, chip, scaler):
+        chip.create_processor("r", region=ring_region((0, 0), 2, 2))
+        self.assert_refused(chip, lambda: scaler.up_scale("r", 2))
+
+    def test_down_scale_refused(self, chip, scaler):
+        chip.create_processor("r", region=ring_region((0, 0), 2, 3))
+        self.assert_refused(chip, lambda: scaler.down_scale("r", 2))
+
+    def test_fuse_refused_on_either_side(self, chip, scaler):
+        chip.create_processor("r", region=ring_region((1, 1), 2, 2))
+        # b's tail touches the ring's head, the ring's tail touches c's head
+        chip.create_processor("b", region=path_region([(0, 0), (0, 1)]))
+        chip.create_processor("c", region=path_region([(3, 1), (3, 2)]))
+        self.assert_refused(chip, lambda: scaler.fuse("b", "r"))
+        self.assert_refused(chip, lambda: scaler.fuse("r", "c"))
+
+    def test_split_refused(self, chip, scaler):
+        chip.create_processor("r", region=ring_region((0, 0), 2, 2))
+        self.assert_refused(chip, lambda: scaler.split("r", 2, "h", "t"))
 
 
 class TestConfigCycleAccounting:

@@ -116,6 +116,14 @@ def _sweep_arg_error(
     return None
 
 
+def _die_arg_error(rows: int, cols: int) -> Optional[str]:
+    """Why ``--rows``/``--cols`` cannot make a die, or ``None`` — checked
+    before any fabric is built (or port bound) so it exits 2."""
+    if rows < 1 or cols < 1:
+        return f"die needs at least one cluster (got {rows}x{cols})"
+    return None
+
+
 def _numpy_version() -> str:
     import numpy
 
@@ -491,6 +499,10 @@ def _cmd_serve(
 
     from repro.service import FabricServer, FabricService, ResidentFabric
 
+    error = _die_arg_error(rows, cols)
+    if error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     if metrics_port is not None:
         # the scrape endpoint is only useful with live instruments
         telemetry.reset()
@@ -796,6 +808,10 @@ def _cmd_chip(rows: int, cols: int) -> int:
     from repro.core.vlsi_processor import VLSIProcessor
     from repro.costmodel.areas import ap_area
 
+    error = _die_arg_error(rows, cols)
+    if error:
+        print(f"chip: {error}", file=sys.stderr)
+        return 2
     chip = VLSIProcessor(rows, cols, with_network=False)
     print(f"{rows}x{cols} S-topology: {len(chip.fabric)} clusters, "
           f"{chip.fabric.switch_count()[0]} chain switches")

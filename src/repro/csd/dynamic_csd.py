@@ -259,9 +259,9 @@ class DynamicCSDNetwork:
         """Canonical immutable pool occupancy: one tuple per channel of
         its occupied ``(lo, hi)`` spans, sorted.
 
-        Exposed so tests can cross-check the vector kernel
-        (:meth:`repro.megascale.kernel.VectorCSDKernel.occupancy_state`)
-        against the live protocol step by step.
+        Exposed so tests can compare pool states step by step; the
+        vector kernel (:class:`repro.megascale.kernel.VectorCSDKernel`)
+        keeps no spans and is checked on its grants and channel counts.
         """
         return tuple(
             tuple(sorted((s.lo, s.hi) for s in ch.spans()))

@@ -5,10 +5,11 @@ A Figure 3 (or rate-0 fault-campaign) trial is a pure function of
 every request from a seeded RNG and the grant protocol is deterministic.
 The engine exploits that twice:
 
-* a **cold** trial resolves on
-  :class:`repro.megascale.kernel.VectorCSDKernel` — the priority
-  encoder's first-fit grant on segment bitmasks, with no live channel
-  objects;
+* a **cold** trial turns its requests into the live loop's connect
+  attempts (:func:`repro.megascale.kernel.attempt_spans`) and resolves
+  them in one :class:`repro.megascale.kernel.VectorCSDKernel` batch —
+  the priority encoder's first-fit grant on segment bitmasks, with no
+  live channel objects;
 * a **trial cache** holds the finished
   :class:`~repro.csd.simulator.SimulationResult` together with the
   telemetry the live path would have produced (attempt count, blocked
@@ -41,7 +42,7 @@ observation documents, cached speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +51,11 @@ from repro.csd.locality import LocalityWorkload
 from repro.csd.simulator import CSDSimulator, SimulationResult
 from repro.engine.cache import LRUCache, MISSING
 from repro.faults.model import FaultKind
-from repro.megascale.kernel import VectorCSDKernel, VectorSampler
+from repro.megascale.kernel import (
+    VectorCSDKernel,
+    VectorSampler,
+    attempt_spans,
+)
 from repro.telemetry.observe import point_label
 
 __all__ = ["SweepEngine", "TrialEntry"]
@@ -102,17 +107,7 @@ class SweepEngine:
         requests = (
             workload.requests_two_source() if two_source else workload.requests()
         )
-        spans: List[Tuple[int, int]] = []
-        span_cycles: List[int] = []
-        for req_index, req in enumerate(requests):
-            for source in req.sources:
-                if source == req.sink:  # cannot happen by construction
-                    continue
-                spans.append(
-                    (source, req.sink) if source < req.sink
-                    else (req.sink, source)
-                )
-                span_cycles.append(req_index + 1)
+        spans, span_cycles = attempt_spans(requests)
         n_channels = 2 * n_objects if two_source else n_objects
         kern = VectorCSDKernel(n_channels, n_objects - 1)
         with telemetry.profile_stage("kernel.grant_many"):

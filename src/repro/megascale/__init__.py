@@ -2,11 +2,13 @@
 
 The paper's Figure 3 stops at N = 256; pushing the same experiments an
 order of magnitude further needs the protocol cold path off Python
-object graphs and onto flat numpy arrays.  This package holds:
+object graphs and onto machine words, flat arrays and closed-form
+schedules.  This package holds:
 
-* :mod:`repro.megascale.kernel` — the span-array CSD protocol kernel
-  (:class:`VectorCSDKernel`) and its telemetry-bearing drop-in network
-  twin (:class:`VectorCSDNetwork`);
+* :mod:`repro.megascale.kernel` — the CSD protocol's first-fit grant on
+  per-channel segment bitmasks (:class:`VectorCSDKernel`), the engine's
+  cold path, and the grant-log replay of the live sampler's probes
+  (:class:`~repro.megascale.kernel.VectorSampler`);
 * :mod:`repro.megascale.noc_kernel` — the closed-form schedule of a
   solo configuration worm (pure math, consulted by the router network's
   express delivery path);
@@ -15,17 +17,17 @@ object graphs and onto flat numpy arrays.  This package holds:
 
 Everything here is held to the repo's byte-identity contract: a vector
 result that differs from the live simulator in any observable — grants,
-blocks, eviction order, telemetry counters — is a bug, and the
-hypothesis lockstep suite in ``tests/megascale/`` enforces it.
+blocks, channel counts, sampled probes — is a bug, and the hypothesis
+lockstep suite in ``tests/megascale/`` checks it against the live
+:class:`~repro.csd.dynamic_csd.DynamicCSDNetwork`.
 """
 
 from repro.megascale.bench import measure_kernel_speedup
-from repro.megascale.kernel import VectorCSDKernel, VectorCSDNetwork
+from repro.megascale.kernel import VectorCSDKernel
 from repro.megascale.noc_kernel import WormSchedule, worm_schedule
 
 __all__ = [
     "VectorCSDKernel",
-    "VectorCSDNetwork",
     "WormSchedule",
     "worm_schedule",
     "measure_kernel_speedup",

@@ -23,23 +23,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.locality import LocalityWorkload
 from repro.errors import ChannelAllocationError
-from repro.megascale.kernel import VectorCSDKernel
+from repro.megascale.kernel import VectorCSDKernel, attempt_spans
 
 __all__ = ["measure_kernel_speedup"]
-
-
-def _attempt_spans(requests) -> List[Tuple[int, int]]:
-    """The (lo, hi) spans of a trial's connect attempts, in attempt order."""
-    spans: List[Tuple[int, int]] = []
-    for req in requests:
-        for source in req.sources:
-            if source == req.sink:  # cannot happen by construction
-                continue
-            spans.append(
-                (source, req.sink) if source < req.sink
-                else (req.sink, source)
-            )
-    return spans
 
 
 def _resolve_live(
@@ -80,7 +66,8 @@ def measure_kernel_speedup(
             workload = LocalityWorkload(
                 n_objects, locality, seed=seed + 1000 * trial
             )
-            trial_spans.append((n_objects, _attempt_spans(workload.requests())))
+            spans, _ = attempt_spans(workload.requests())
+            trial_spans.append((n_objects, spans))
 
     t0 = time.perf_counter()
     live_grants = [_resolve_live(n, spans) for n, spans in trial_spans]

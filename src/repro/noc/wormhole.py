@@ -57,9 +57,6 @@ WORM_FAILURES = (
     SimulationError,
 )
 
-#: Backwards-compatible alias (pre-planner callers import the old name).
-_WORM_FAILURES = WORM_FAILURES
-
 
 @dataclass(frozen=True)
 class ScalingOperation:
@@ -144,7 +141,7 @@ class WormholeConfigurator:
                 self._reserve(region, worm_token)
                 if tracer.enabled:
                     tracer.advance()
-        except _WORM_FAILURES:
+        except WORM_FAILURES:
             # a failed reserve already rolled its own flags back — only
             # close the operation span, don't run the commit-side abort
             if tspan is not None:
@@ -166,7 +163,7 @@ class WormholeConfigurator:
                     cycles = 0
                 if tracer.enabled:
                     tracer.advance()
-        except _WORM_FAILURES:
+        except WORM_FAILURES:
             telemetry.counter("wormhole.aborts").inc()
             telemetry.event(
                 "wormhole.abort", op_id=op_id, region_head=region.path[0]
@@ -209,14 +206,11 @@ class WormholeConfigurator:
                     raise AllocationConflictError(
                         f"cluster {coord} owned by {cluster.owner!r}"
                     )
-            edges = list(zip(region.path, region.path[1:]))
-            if region.ring:
-                edges.append((region.path[-1], region.path[0]))
-            for a, b in edges:
+            for a, b in region.edges():
                 at = f"switch {a}-{b}"
                 self.fabric.chain_switch(a, b).reserve(token)
                 taken.append((a, b))
-        except _WORM_FAILURES as exc:
+        except WORM_FAILURES as exc:
             if isinstance(exc, AllocationConflictError):
                 telemetry.counter("wormhole.reserve.conflicts").inc()
                 telemetry.instant(
@@ -231,19 +225,16 @@ class WormholeConfigurator:
         """Phase 2: program switches, take ownership, clear flags."""
         for coord in region.path:
             self.fabric.cluster(coord).allocate(owner)
+        edges = region.edges()
         if self.faults is not None:
-            edges = list(zip(region.path, region.path[1:]))
-            if region.ring:
-                edges.append((region.path[-1], region.path[0]))
             for a, b in edges:
                 if self.faults.chain_switch_fault(a, b):
                     raise FaultInjectionError(
                         f"chain switch {a}-{b} ignored its programming"
                     )
         region.chain_on(self.fabric)
-        switches = max(0, len(region.path) - 1) + (1 if region.ring else 0)
         self._release_flags(region, token)
-        return switches
+        return len(edges)
 
     def _abort(self, region: Region, token: Hashable) -> None:
         """Roll back a failed commit: unchain any programmed switches,
@@ -258,12 +249,8 @@ class WormholeConfigurator:
         self._release_flags(region, token)
 
     def _release_flags(self, region: Region, token: Hashable) -> None:
-        for a, b in zip(region.path, region.path[1:]):
+        for a, b in region.edges():
             self.fabric.chain_switch(a, b).release_reservation(token)
-        if region.ring:
-            self.fabric.chain_switch(
-                region.path[-1], region.path[0]
-            ).release_reservation(token)
 
     def _deliver_worm(
         self,
@@ -283,9 +270,7 @@ class WormholeConfigurator:
         assert self.network is not None
         start = self.network.cycle_count
         if edges is None:
-            edges = list(zip(region.path, region.path[1:]))
-            if region.ring:
-                edges.append((region.path[-1], region.path[0]))
+            edges = region.edges()
         payloads: List[Tuple[str, Coord, Coord]] = [
             ("chain", a, b) for a, b in edges
         ]
@@ -374,8 +359,8 @@ class WormholeConfigurator:
                 )
         op_id = next(self._op_ids)
         token = ("rewire", op_id)
-        old_edges = self._region_edges(old)
-        new_edges = self._region_edges(new)
+        old_edges = old.edges()
+        new_edges = new.edges()
         removed = [e for e in old_edges if e not in set(new_edges)]
         added = [e for e in new_edges if e not in set(old_edges)]
         old_coords = set(old.path)
@@ -474,13 +459,6 @@ class WormholeConfigurator:
             tspan.set_attr("switches_programmed", switches)
             tspan.end()
         return ScalingOperation(op_id, owner, new, cycles, switches)
-
-    @staticmethod
-    def _region_edges(region: Region) -> List[Tuple[Coord, Coord]]:
-        edges = list(zip(region.path, region.path[1:]))
-        if region.ring and len(region.path) > 1:
-            edges.append((region.path[-1], region.path[0]))
-        return edges
 
     # -- down-scaling --------------------------------------------------------
 

@@ -48,12 +48,8 @@ FLITS_PER_CHAIN = 1
 
 
 def directed_edges(region: Region) -> List[Tuple[Coord, Coord]]:
-    """The directed wiring of a region: consecutive path pairs, plus the
-    ring-closing edge when the region is a ring."""
-    edges = list(zip(region.path, region.path[1:]))
-    if region.ring and len(region.path) > 1:
-        edges.append((region.path[-1], region.path[0]))
-    return edges
+    """The directed wiring of a region (:meth:`Region.edges`)."""
+    return region.edges()
 
 
 def diff_regions(old: Region, new: Region) -> Tuple[SwitchOp, ...]:

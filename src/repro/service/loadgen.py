@@ -81,7 +81,7 @@ class LoadConfig:
             raise ValueError("need at least one tenant")
         if self.requests < 0:
             raise ValueError("requests per tenant cannot be negative")
-        if self.rps <= 0:
+        if not self.rps > 0:  # NaN fails every comparison
             raise ValueError("rps must be positive")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("die needs at least one cluster")

@@ -44,13 +44,16 @@ class Region:
             raise RegionError("a region needs at least one cluster")
         if len(set(self.path)) != len(self.path):
             raise RegionError("a region path may not revisit a cluster")
-        for a, b in self._edges():
+        for a, b in self.edges():
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 raise RegionError(f"path step {a} -> {b} is not grid-adjacent")
         if self.ring and len(self.path) < 4:
             raise RegionError("a ring needs at least four clusters on a grid")
 
-    def _edges(self) -> List[Tuple[Coord, Coord]]:
+    def edges(self) -> List[Tuple[Coord, Coord]]:
+        """The region's directed wiring, one ``(a, b)`` per chain switch
+        it programs: the consecutive path pairs in path order, then the
+        ring-closing edge when the region is a ring."""
         edges = list(zip(self.path, self.path[1:]))
         if self.ring and len(self.path) > 1:
             edges.append((self.path[-1], self.path[0]))

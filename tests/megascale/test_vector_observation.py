@@ -4,9 +4,10 @@ cached observation replay rests on).
 
 Two layers:
 
-* the unit property drives one random grant program through a
-  :class:`VectorCSDKernel` with a live sampler ticking per request,
-  then replays the grant log through a :class:`VectorSampler` into
+* the unit property drives one random request program through a live
+  :class:`DynamicCSDNetwork` with a live sampler ticking per request,
+  resolves the same program with :meth:`VectorCSDKernel.grant_many`,
+  and replays that grant log through a :class:`VectorSampler` into
   fresh instruments — every heatmap cell, series sample, ``dropped``
   tally, and ``samples_taken`` count must match byte for byte, even
   with tiny instrument capacities forcing evictions;
@@ -20,21 +21,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.simulator import CSDSimulator
 from repro.engine import SweepEngine
+from repro.errors import ChannelAllocationError
 from repro.megascale.kernel import VectorCSDKernel, VectorSampler
 from repro.telemetry.exposition import observation_document, observe_json
 from repro.telemetry.observe import Heatmap, Sampler, TimeSeries
 
 _geometries = st.tuples(st.integers(1, 6), st.integers(4, 10))
 
-#: One request: a span [lo, hi) with hi allowed one past the array so
-#: the off-the-array block path (granted=None, no log row) is exercised.
+#: One request: a span [lo, hi) between two objects of the array.  With
+#: at most 6 channels, blocked requests (granted=None, no log row) are
+#: common.
 def _requests(n_segments):
     return st.lists(
-        st.tuples(
-            st.integers(0, n_segments - 1), st.integers(1, n_segments + 1)
-        ).filter(lambda t: t[0] < t[1]),
+        st.integers(0, n_segments - 1).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, n_segments))
+        ),
         max_size=30,
     )
 
@@ -66,29 +70,36 @@ class TestSamplerLockstepProperty:
     ):
         (n_channels, n_segments), requests = geometry
 
-        # live side: a kernel sampled per request by the live Sampler
-        kern = VectorCSDKernel(n_channels, n_segments)
+        # live side: the live network sampled per request by the Sampler
+        net = DynamicCSDNetwork(n_segments + 1, n_channels=n_channels)
         seg, ch, series = _instruments(series_capacity, heatmap_cells)
         sampler = Sampler(stride)
-        sampler.attach_series(series, kern.used_channels)
+        sampler.attach_series(series, net.used_channels)
         sampler.attach_heatmap(
             seg,
-            lambda: {f"s{i}": v for i, v in enumerate(kern.segment_demand())},
+            lambda: {f"s{i}": v for i, v in enumerate(net.segment_demand())},
         )
         sampler.attach_heatmap(
             ch,
             lambda: {
-                f"ch{i}": v for i, v in enumerate(kern.channel_occupancy())
+                f"ch{i}": v for i, v in enumerate(net.channel_occupancy())
             },
         )
-        log = []
-        for idx, (lo, hi) in enumerate(requests):
-            granted = kern.grant(lo, hi)
-            if granted is not None:
-                log.append((idx + 1, lo, hi, granted))
+        for lo, hi in requests:
+            try:
+                net.connect(lo, hi)
+            except ChannelAllocationError:
+                pass
             sampler.tick()
 
-        # vector side: the grant log replayed into fresh instruments
+        # vector side: the kernel's grant log replayed into fresh
+        # instruments
+        grants = VectorCSDKernel(n_channels, n_segments).grant_many(requests)
+        log = [
+            (idx + 1, lo, hi, granted)
+            for idx, ((lo, hi), granted) in enumerate(zip(requests, grants))
+            if granted is not None
+        ]
         cycles = np.asarray([r[0] for r in log], dtype=np.int64)
         lo_col = np.asarray([r[1] for r in log], dtype=np.int64)
         hi_col = np.asarray([r[2] for r in log], dtype=np.int64)

@@ -365,8 +365,9 @@ class TestVectorKernelFlag:
 
 
 class TestSweepArgumentErrors:
-    """Hostile fig3/faults/defrag arguments exit 2 with one stderr line
-    before any work starts — never a traceback, never a silent fallback."""
+    """Hostile fig3/faults/defrag/service-load arguments exit 2 with one
+    stderr line before any work starts — never a traceback, never a
+    silent fallback."""
 
     @pytest.mark.parametrize("argv", [
         ["fig3", "--trials", "0"],
@@ -383,9 +384,36 @@ class TestSweepArgumentErrors:
         ["defrag", "--max-passes", "0"],
         ["defrag", "--max-passes", "-3"],
         ["defrag", "--scenario", "nope"],
+        ["service-load", "--rps", "nan"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main([*argv, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: ")
+
+
+class TestDieSizeErrors:
+    """chip and serve reject a die without clusters like every other bad
+    argument: exit 2 with one stderr line, before a fabric is built or
+    (for serve) the event loop that binds the port starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chip", "--rows", "0"],
+        ["chip", "--cols", "-2"],
+        ["serve", "--rows", "0"],
+        ["serve", "--cols", "0"],
+    ])
+    def test_exits_2_with_one_line(self, argv, capsys, monkeypatch):
+        import asyncio
+
+        def no_loop(coro):
+            coro.close()
+            raise AssertionError("serve started its event loop")
+
+        monkeypatch.setattr(asyncio, "run", no_loop)
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

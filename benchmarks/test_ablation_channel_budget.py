@@ -6,8 +6,6 @@ too-small budget (N/4) block chaining?  Also contrasts the unsegmented
 static baseline, which burns one channel per communication.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.errors import ChannelAllocationError
 from repro.csd.dynamic_csd import DynamicCSDNetwork

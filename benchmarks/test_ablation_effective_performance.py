@@ -16,8 +16,6 @@ records through them and converts cycle counts to effective GOPS at the
   pay a visible management tax that long streams amortise away.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.ap.pipeline import AdaptiveProcessor
 from repro.ap.streaming import StreamingExecutor

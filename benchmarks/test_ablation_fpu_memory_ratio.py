@@ -9,8 +9,6 @@ trading memory blocks for physical objects raises peak GOPS (at the cost
 of on-chip state).
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.costmodel.areas import APComposition
 from repro.costmodel.chip_budget import ChipBudget

@@ -6,8 +6,6 @@ choice does to the AP count and peak GOPS, showing why 0.4 is the only
 factor consistent with the published table.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.costmodel.chip_budget import PAPER_TABLE4_APS
 from repro.costmodel.performance import table4

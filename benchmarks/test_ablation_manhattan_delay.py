@@ -13,8 +13,6 @@ scattered code stretches chains across the region and its critical wire
 delay grows quadratically (RC).
 """
 
-import pytest
-
 from repro.analysis.placement import analyze_placement
 from repro.analysis.reporting import format_table
 from repro.costmodel.wire_delay import ITRS2007_GLOBAL_WIRE, wire_length_um

@@ -11,8 +11,6 @@ analysis, then cross-checks the analytical prediction against the
 machine must agree on what misses.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.analysis.stack_distance import profile_trace
 from repro.ap.pipeline import AdaptiveProcessor

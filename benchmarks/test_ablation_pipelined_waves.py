@@ -7,8 +7,6 @@ pipelined (waves overlapped across the four processors), and reports
 the speedup and its convergence toward the block-chain depth.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.core.partition import ProgramExecutor
 from repro.core.pipelined import PipelinedExecutor

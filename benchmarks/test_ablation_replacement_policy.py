@@ -8,8 +8,6 @@ traces, and shows the one regime where LRU loses (the looping
 pathology), so the design choice is presented with its trade-off.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.ap.cache_model import compare_policies
 from repro.workloads.traces import geometric_reuse_trace, looping_trace

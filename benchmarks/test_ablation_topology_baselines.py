@@ -9,11 +9,8 @@ Quantifies the qualitative §5 claims:
   designs carry over without giving up the grid's scaling.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.topology.mesh import MeshTopology
-from repro.topology.metrics import diameter
 from repro.topology.ring_baseline import RingTopology
 from repro.topology.rings import ring_region
 from repro.topology.s_topology import STopology

@@ -7,8 +7,6 @@ channel provisioning it needs — and that the locality lever works the
 same way.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.csd.simulator import CSDSimulator
 

@@ -13,8 +13,6 @@ sits idle (head-of-line blocking).  With two VCs, B travels on its own
 virtual channel and streams past.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork

@@ -12,8 +12,6 @@ communication buys relatively less and less — the scaling argument for
 the paper's locality-first architecture.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.costmodel.performance import table4
 from repro.costmodel.technology import extended_roadmap

@@ -7,8 +7,6 @@ pipeline pass) and the miss path (library load + forced stack shift +
 re-request) and reports per-element cycle costs.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.ap.config_stream import ConfigStream
 from repro.ap.objects import LogicalObject, Operation

@@ -9,8 +9,6 @@ requests, locality-controlled source offsets, N_object in
 * higher locality uses fewer channels (the left of each curve).
 """
 
-import pytest
-
 from repro.analysis.channel_usage import summarize_series
 from repro.analysis.reporting import format_series
 from repro.csd.simulator import FIGURE3_NOBJECTS, figure3_series

@@ -8,8 +8,6 @@ points), and measures fold quality (every consecutive stack position
 grid-adjacent) and build cost.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.topology.folding import fold_path_is_adjacent
 from repro.topology.metrics import diameter

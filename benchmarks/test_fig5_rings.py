@@ -6,8 +6,6 @@ a closed chained component, and compares ring latency on the S-topology
 embedding against the dedicated ring baseline of section 5.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.topology.ring_baseline import RingTopology
 from repro.topology.rings import ring_region

@@ -9,8 +9,6 @@ configuration cost per processor (measured on the cycle-level router
 network) and the execution trace for both branch outcomes.
 """
 
-import pytest
-
 from repro.analysis.reporting import format_table
 from repro.core.partition import ProgramExecutor
 from repro.core.vlsi_processor import VLSIProcessor

@@ -15,7 +15,7 @@ on silicon, so locality in the object code is locality in metal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -14,8 +14,8 @@ elements) since an ID was last referenced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import StreamFormatError
 

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.ap.config_stream import ConfigStream
-from repro.ap.objects import LogicalObject, Operation
+from repro.ap.objects import LogicalObject
 
 __all__ = ["DatapathNode", "Datapath"]
 

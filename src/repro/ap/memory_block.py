@@ -20,7 +20,7 @@ Three behaviours the rest of the system needs are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import CapacityError, ConfigurationError
 

@@ -17,10 +17,10 @@ to the top (the LRU sort).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.ap.objects import LogicalObject, ObjectKind, PhysicalObject
+from repro.ap.objects import LogicalObject, PhysicalObject
 
 __all__ = ["ObjectStack"]
 

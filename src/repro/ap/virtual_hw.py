@@ -15,7 +15,6 @@ scheduling table: a FIFO of pending store-backs drained one per cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError

@@ -15,7 +15,7 @@ at the same scale from the remaining healthy clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

@@ -11,8 +11,8 @@ mispredicted branch never flushes anyone else's datapath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.core.vlsi_processor import VLSIProcessor

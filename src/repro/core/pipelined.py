@@ -16,7 +16,7 @@ different paths; the merge point sees them in wave order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError

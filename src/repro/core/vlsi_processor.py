@@ -13,9 +13,9 @@ processors in :class:`repro.core.partition.ProgramExecutor`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.errors import ConfigurationError, RegionError, StateTransitionError
+from repro.errors import ConfigurationError
 from repro.core.allocation import ClusterAllocator
 from repro.core.ipc import Mailbox
 from repro.core.states import (

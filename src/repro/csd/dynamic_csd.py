@@ -19,7 +19,7 @@ span uniformly — no channel re-selection is needed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -254,19 +254,6 @@ class DynamicCSDNetwork:
         """
         used = [ch.index for ch in self.pool if not ch.is_idle]
         return max(used) + 1 if used else 0
-
-    def occupancy_state(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Canonical immutable pool occupancy: one tuple per channel of
-        its occupied ``(lo, hi)`` spans, sorted.
-
-        Exposed so tests can compare pool states step by step; the
-        vector kernel (:class:`repro.megascale.kernel.VectorCSDKernel`)
-        keeps no spans and is checked on its grants and channel counts.
-        """
-        return tuple(
-            tuple(sorted((s.lo, s.hi) for s in ch.spans()))
-            for ch in self.pool
-        )
 
     # -- observation probes ------------------------------------------------
 

@@ -21,6 +21,14 @@ magnitude ≈ 1, "a higher locality takes a very small number or is equal
 to zero"), ``locality = 0`` spreads them across the whole array.  The
 realised locality of a generated configuration is reported as the mean
 |source − sink| dependency distance normalised by N.
+
+A seed fixes every request: they are the values of one scalar
+``Generator.integers`` call per sink and per offset try.  Each
+:meth:`LocalityWorkload.requests` or ``requests_two_source`` call draws
+them from one bulk tape of the generator's 32-bit words instead,
+because a scalar call costs more than its arithmetic, and leaves the
+generator where the scalar calls would.  ``tests/csd/test_draw_oracle.py``
+keeps the scalar draw as the reference.
 """
 
 from __future__ import annotations
@@ -31,6 +39,12 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 __all__ = ["ChainingRequest", "LocalityWorkload"]
+
+_WORD = 1 << 32  # one draw word: numpy's bounded draws below 2**32 use 32 bits
+_LOW = _WORD - 1
+#: From this ``n_objects`` on, the offset range ``2 * spread + 1`` can pass
+#: 2**32, where numpy leaves the 32-bit method ``_resolve`` reproduces.
+_MAX_OBJECTS = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,8 @@ class LocalityWorkload:
     def __init__(self, n_objects: int, locality: float, seed: Optional[int] = None):
         if n_objects < 2:
             raise ValueError("need at least two objects")
+        if n_objects >= _MAX_OBJECTS:
+            raise ValueError(f"need fewer than {_MAX_OBJECTS} objects")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")
         self.n_objects = n_objects
@@ -92,12 +108,7 @@ class LocalityWorkload:
             n_requests = self.n_objects - 1
         if n_requests < 1:
             raise ValueError("need at least one request")
-        out: List[ChainingRequest] = []
-        for _ in range(n_requests):
-            sink = int(self._rng.integers(0, self.n_objects))
-            source = self._source_near(sink, avoid=sink)
-            out.append(ChainingRequest(sink=sink, source=source))
-        return out
+        return self._draw(n_requests, 1)
 
     def requests_two_source(
         self, n_requests: Optional[int] = None
@@ -111,25 +122,75 @@ class LocalityWorkload:
             n_requests = self.n_objects - 1
         if n_requests < 1:
             raise ValueError("need at least one request")
-        out: List[ChainingRequest] = []
-        for _ in range(n_requests):
-            sink = int(self._rng.integers(0, self.n_objects))
-            s1 = self._source_near(sink, avoid=sink)
-            s2 = self._source_near(sink, avoid=sink)
-            out.append(ChainingRequest(sink=sink, source=s1, source2=s2))
+        return self._draw(n_requests, 2)
+
+    def _draw(self, n_requests: int, n_sources: int) -> List[ChainingRequest]:
+        """Draw ``n_requests`` requests of ``n_sources`` sources each from
+        one bulk tape of the generator's 32-bit words, leaving the
+        generator where the scalar draws would leave it."""
+        rng = self._rng
+        start = rng.bit_generator.state
+        # one word per sink and at most about 1.5 per source (an offset
+        # landing on the sink is redrawn); tiny arrays can need more
+        size = n_requests * (1 + 2 * n_sources) + 64
+        while True:
+            tape = rng.integers(0, _WORD, size=size, dtype=np.uint32).tolist()
+            try:
+                out, used = self._resolve(tape, n_requests, n_sources)
+                break
+            except IndexError:  # the draw outran the tape: draw a longer one
+                rng.bit_generator.state = start
+                size *= 2
+        # rewind, then consume exactly the words the requests used
+        rng.bit_generator.state = start
+        rng.integers(0, _WORD, size=used, dtype=np.uint32)
         return out
 
-    def _source_near(self, anchor: int, avoid: int) -> int:
-        """Draw a source ID = anchor + offset, clamped, != ``avoid``."""
-        for _ in range(64):
-            offset = int(self._rng.integers(-self.spread, self.spread + 1))
-            source = min(max(anchor + offset, 0), self.n_objects - 1)
-            if source != avoid:
-                return source
-        # pathological corner (tiny array, avoid sits on the clamp target):
-        # walk to the nearest distinct position
-        source = avoid + 1 if avoid + 1 < self.n_objects else avoid - 1
-        return source
+    def _resolve(
+        self, tape: List[int], n_requests: int, n_sources: int
+    ) -> Tuple[List[ChainingRequest], int]:
+        """The requests a word tape yields, and how many words they used.
+
+        Each value is Lemire's bounded draw, the one numpy's scalar
+        ``integers(low, high)`` makes for a range of ``width`` below
+        2**32: ``m = word * width`` is redrawn while its low 32 bits fall
+        below ``2**32 % width``, and the value is ``m >> 32``.  A sink is
+        uniform in ``[0, N)``; each source retries its clamped offset up
+        to 64 times until it differs from the sink, then walks to the
+        nearest distinct position (the pathological corner of a tiny
+        array whose clamp target is the sink).
+        """
+        n = self.n_objects
+        last = n - 1
+        spread = self.spread
+        width = 2 * spread + 1
+        sink_floor = _WORD % n
+        offset_floor = _WORD % width
+        out: List[ChainingRequest] = []
+        i = 0
+        for _ in range(n_requests):
+            m = tape[i] * n
+            i += 1
+            while m & _LOW < sink_floor:
+                m = tape[i] * n
+                i += 1
+            sink = m >> 32
+            sources = []
+            for _ in range(n_sources):
+                for _ in range(64):
+                    m = tape[i] * width
+                    i += 1
+                    while m & _LOW < offset_floor:
+                        m = tape[i] * width
+                        i += 1
+                    source = min(max(sink + (m >> 32) - spread, 0), last)
+                    if source != sink:
+                        break
+                else:
+                    source = sink + 1 if sink < last else sink - 1
+                sources.append(source)
+            out.append(ChainingRequest(sink, *sources))
+        return out, i
 
     def realized_locality(self, requests: List[ChainingRequest]) -> float:
         """Mean dependency distance normalised by N — the measured
@@ -141,5 +202,4 @@ class LocalityWorkload:
     def stream(self) -> Iterator[ChainingRequest]:
         """Endless request stream (for long-running simulations)."""
         while True:
-            sink = int(self._rng.integers(0, self.n_objects))
-            yield ChainingRequest(sink=sink, source=self._source_near(sink, sink))
+            yield from self._draw(1, 1)

@@ -9,7 +9,7 @@ counter — so the engine owns this ~60-line cache instead.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 __all__ = ["LRUCache", "MISSING"]
 

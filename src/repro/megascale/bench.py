@@ -8,11 +8,11 @@ This module measures exactly that claim: identical seeded workloads are
 resolved once by each backend, the per-attempt grant sequences are
 compared element-for-element, and the wallclock ratio is reported.
 
-Scope note: the workload *generation* (seeded rejection sampling on one
-PCG64 stream) is interleaved and data-dependent, so it cannot be
-vectorized bit-identically and is deliberately excluded from both sides
-of the timing — the measured quantity is the protocol resolution cost,
-which is what dominates a Figure-3 trial at mega-scale N.
+Scope note: the workload *generation* (one seeded
+:class:`~repro.csd.locality.LocalityWorkload` draw per trial) is left
+out of both sides of the timing.  Both backends would run the same draw
+code, so it adds nothing to the comparison; the measured quantity is
+the protocol resolution cost.
 """
 
 from __future__ import annotations

@@ -15,8 +15,13 @@ machine words instead:
 * the sink's priority encoder grants the lowest channel the request
   survives on (Figure 2), so the scan stops at the first surviving
   channel.  First-fit never grants past one above the highest used
-  channel, so only the used prefix is kept and the scan is bounded by
-  the *used* channel count, not the provisioned one.
+  channel, so only the used prefix is kept;
+* the AND of each complete group of :data:`GROUP` consecutive masks
+  holds the segments busy on every channel of the group, so a request
+  that intersects it is skipped past the whole group with one test.
+  The scan reads channel masks only in groups it might fit and in the
+  incomplete tail: an N=1024, locality-0 trial reads about 10k masks,
+  against 161k for a first-fit scan of every used channel.
 
 :class:`VectorCSDKernel` is that first-fit machine, the sweep engine's
 only cold path (one :meth:`~VectorCSDKernel.grant_many` per trial);
@@ -30,11 +35,18 @@ live network.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["VectorCSDKernel", "VectorSampler", "attempt_spans"]
+
+#: Channels per group.  Groups of 4, 8 and 16 each cut the grant time
+#: 1.6-1.8x on a fig3-cold round (N=256 and 1024) and 3-7x at N=4096,
+#: locality 0; 8 was the fastest on the round.
+GROUP = 8
 
 
 def attempt_spans(requests) -> Tuple[List[Tuple[int, int]], List[int]]:
@@ -59,9 +71,9 @@ def attempt_spans(requests) -> Tuple[List[Tuple[int, int]], List[int]]:
 
 class VectorCSDKernel:
     """First-fit grant machine for one ``(n_channels, n_segments)``
-    geometry.  Its only state is the per-channel segment bitmasks;
-    grants accumulate across :meth:`grant_many` calls and are never
-    released."""
+    geometry.  Its only state is the per-channel segment bitmasks and
+    the AND of each complete group of them; grants accumulate across
+    :meth:`grant_many` calls and are never released."""
 
     def __init__(self, n_channels: int, n_segments: int) -> None:
         if n_channels < 1:
@@ -74,6 +86,10 @@ class VectorCSDKernel:
         #: channel ``k`` only when every channel below it blocks, and an
         #: empty channel never blocks, so no mask in the list is zero.
         self._masks: List[int] = []
+        #: ``_groups[g]`` is the AND of masks ``GROUP*g .. GROUP*g+GROUP-1``,
+        #: one per complete group: a span it overlaps is busy on every
+        #: channel of the group.
+        self._groups: List[int] = []
 
     def grant_many(self, spans) -> List[Optional[int]]:
         """Resolve a sequence of ``(lo, hi)`` requests in order.
@@ -91,28 +107,39 @@ class VectorCSDKernel:
                 raise ValueError("span cannot start below segment 0")
             if hi <= lo:
                 raise ValueError(f"empty or inverted span [{lo}, {hi})")
-        out: List[Optional[int]] = []
-        append = out.append
         n_seg = self._n_segments
-        n_ch = self._n_channels
+        grant = self._grant
+        return [
+            None if hi > n_seg else grant((1 << hi) - (1 << lo))
+            for lo, hi in spans
+        ]
+
+    def _grant(self, m: int) -> Optional[int]:
+        """Grant segment mask ``m`` on the lowest channel it fits, or
+        return ``None`` when every provisioned channel blocks it."""
         masks = self._masks
-        for lo, hi in spans:
-            if hi > n_seg:
-                append(None)
-                continue
-            m = (1 << hi) - (1 << lo)
-            for c, o in enumerate(masks):
+        groups = self._groups
+        for g, busy in enumerate(groups):
+            if busy & m:
+                continue  # every channel of the group blocks
+            base = g * GROUP
+            for c in range(base, base + GROUP):
+                o = masks[c]
                 if not o & m:
                     masks[c] = o | m
-                    append(c)
-                    break
-            else:
-                if len(masks) < n_ch:
-                    append(len(masks))
-                    masks.append(m)
-                else:
-                    append(None)
-        return out
+                    groups[g] = reduce(and_, masks[base : base + GROUP])
+                    return c
+        for c in range(len(groups) * GROUP, len(masks)):
+            o = masks[c]
+            if not o & m:
+                masks[c] = o | m
+                return c
+        if len(masks) == self._n_channels:
+            return None
+        masks.append(m)
+        if len(masks) % GROUP == 0:
+            groups.append(reduce(and_, masks[-GROUP:]))
+        return len(masks) - 1
 
     def used_channels(self) -> int:
         """Channels holding at least one granted span (no mask is zero)."""

@@ -23,7 +23,7 @@ Down-scaling is the reverse: unchain and free, no reservation needed
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
 from repro import telemetry

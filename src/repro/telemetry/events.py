@@ -10,7 +10,7 @@ without limit: old events fall off the front and are tallied in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterator, List, Tuple
 
 __all__ = ["Event", "EventTrace"]

@@ -16,7 +16,7 @@ measurements they exist to provide.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 __all__ = ["Counter", "Timer", "Histogram", "Scope"]
 

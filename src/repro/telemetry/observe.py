@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Mapping, Tuple, Union
 
 __all__ = [
     "Gauge",

@@ -11,7 +11,7 @@ raises a clear error only when the functions are called.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.topology.s_topology import STopology

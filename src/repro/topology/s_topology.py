@@ -21,7 +21,7 @@ This satisfies the three properties section 3.1 demands of the topology:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.cluster import Cluster, ClusterResources

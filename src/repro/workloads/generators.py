@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.ap.objects import Operation
-from repro.workloads.dataflow import DataflowGraph, DFNode
+from repro.workloads.dataflow import DataflowGraph
 
 __all__ = [
     "random_dag",

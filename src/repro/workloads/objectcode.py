@@ -22,7 +22,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import StreamFormatError
 from repro.ap.objects import Operation

@@ -6,7 +6,7 @@ from repro.analysis.placement import analyze_placement
 from repro.ap.config_stream import ConfigStream
 from repro.costmodel.wire_delay import WireParameters
 from repro.topology.regions import rectangle_region
-from repro.workloads.generators import random_dag, streaming_chain
+from repro.workloads.generators import random_dag
 
 
 def chain_stream(n):

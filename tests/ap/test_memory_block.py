@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.ap.memory_block import SRAM_WORDS, AddressGenerator, MemoryBlock
+from repro.ap.memory_block import SRAM_WORDS, MemoryBlock
 
 
 class TestStorage:

@@ -1,7 +1,5 @@
 """Unit tests for objects and the two-level configuration (section 2.1)."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError

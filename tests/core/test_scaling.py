@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError, RegionError, StateTransitionError
 from repro.core.scaling import ScalingController
-from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.topology.regions import path_region
 from repro.topology.rings import ring_region

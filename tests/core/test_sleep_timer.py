@@ -1,7 +1,5 @@
 """Unit tests for the sleep timer (section 3.3)."""
 
-import pytest
-
 from repro.core.states import ProcessorState, ProcessorStateMachine
 
 

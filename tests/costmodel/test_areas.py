@@ -3,7 +3,6 @@
 import pytest
 
 from repro.costmodel.areas import (
-    AreaBudget,
     AreaItem,
     APComposition,
     CONTROL_OBJECT_ITEMS,

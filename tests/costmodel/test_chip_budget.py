@@ -9,7 +9,7 @@ from repro.costmodel.chip_budget import (
     PAPER_TABLE4_APS,
     available_aps,
 )
-from repro.costmodel.technology import node_for_feature, node_for_year
+from repro.costmodel.technology import node_for_year
 
 
 class TestChipBudget:

@@ -26,6 +26,8 @@ class TestWorkloadConstruction:
             LocalityWorkload(16, 1.5)
         with pytest.raises(ValueError):
             LocalityWorkload(16, -0.1)
+        with pytest.raises(ValueError):
+            LocalityWorkload(2**31, 0.5)
 
 
 class TestRequests:

@@ -1,12 +1,11 @@
 """Property-based invariants across module boundaries (hypothesis)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scaling import ScalingController
 from repro.core.vlsi_processor import VLSIProcessor
-from repro.errors import RegionError, ReproError
+from repro.errors import ReproError
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork
 

@@ -1,7 +1,5 @@
 """Stress and determinism tests at larger scales."""
 
-import pytest
-
 from repro.ap.pipeline import AdaptiveProcessor
 from repro.core.defects import DefectInjector
 from repro.core.vlsi_processor import VLSIProcessor

@@ -8,8 +8,6 @@ requested object(s).  This replacement is equivalent to the write-back
 policy of conventional cache memory."
 """
 
-import pytest
-
 from repro.ap.config_stream import ConfigStream
 from repro.ap.objects import LogicalObject, Operation
 from repro.ap.pipeline import AdaptiveProcessor

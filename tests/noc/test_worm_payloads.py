@@ -7,8 +7,6 @@ data to the appropriate programmable switch with a wormhole
 reconfiguration".
 """
 
-import pytest
-
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork
 from repro.noc.wormhole import WormholeConfigurator

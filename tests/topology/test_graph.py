@@ -9,7 +9,7 @@ from repro.topology.graph import (
     to_networkx,
     verify_linear_region,
 )
-from repro.topology.regions import path_region, rectangle_region
+from repro.topology.regions import rectangle_region
 from repro.topology.rings import ring_region
 from repro.topology.s_topology import STopology
 

@@ -1,10 +1,8 @@
 """Property-based roundtrips across workload representations."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.dataflow import DataflowGraph
 from repro.workloads.generators import random_dag
 from repro.workloads.objectcode import emit_object_code, parse_object_code
 

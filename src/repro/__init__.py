@@ -10,7 +10,7 @@ The package is organised by architectural layer (see DESIGN.md):
 * :mod:`repro.core` — the VLSI processor itself: scaling, states, IPC (§3)
 * :mod:`repro.workloads` — dataflow graphs, generators, example programs
 * :mod:`repro.analysis` — stack-distance / channel-usage analysis and reporting
-* :mod:`repro.telemetry` — counters/timers/event traces threaded through the
+* :mod:`repro.telemetry` — counters/timers/span traces threaded through the
   simulators' hot paths (``python -m repro fig3 --stats`` reports them)
 """
 

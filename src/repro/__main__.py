@@ -32,6 +32,7 @@ ablations) live in the benchmark harness: ``pytest benchmarks/
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -124,6 +125,29 @@ def _die_arg_error(rows: int, cols: int) -> Optional[str]:
     return None
 
 
+def _output_arg_error(args: argparse.Namespace) -> Optional[str]:
+    """Why an output path on the command line cannot be written, or
+    ``None`` — checked before any work, so a bad path exits 2 instead of
+    a traceback after the run."""
+    files = ["trace", "report"]
+    if args.command == "service-load":  # slo-report reads its --records
+        files.append("records")
+    for name in files:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            return f"--{name} {path}: no directory {parent}"
+        if os.path.isdir(path):
+            return f"--{name} {path} is a directory"
+    observe = getattr(args, "observe", None)
+    if observe is not None and os.path.exists(observe):
+        if not os.path.isdir(observe):
+            return f"--observe {observe} exists and is not a directory"
+    return None
+
+
 def _numpy_version() -> str:
     import numpy
 
@@ -156,26 +180,20 @@ def _cmd_fig3(
             file=sys.stderr,
         )
     localities = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0]
-    if stats or trace or observe or profile:
-        if not quiet:
-            # reproducibility banner: everything needed to reconstruct
-            # this run (the sweep derives every trial seed from these);
-            # numpy's version pins the vector kernels' numerics
-            print(
-                f"repro {__version__} fig3: seed={seed} trials={trials} "
-                f"workers={workers if workers else 1} "
-                f"n_objects={','.join(str(n) for n in n_objects)} "
-                f"localities={','.join(f'{x:g}' for x in localities)} "
-                f"numpy={_numpy_version()}"
-            )
-        telemetry.reset()  # report only this sweep's counters/spans
-    if trace:
-        telemetry.enable_tracing()
-    if observe:
-        telemetry.enable_observation()
-    if profile:
-        telemetry.enable_profiling()
-    try:
+    if (stats or trace or observe or profile) and not quiet:
+        # reproducibility banner: everything needed to reconstruct this
+        # run (the sweep derives every trial seed from these); numpy's
+        # version pins the vector kernels' numerics
+        print(
+            f"repro {__version__} fig3: seed={seed} trials={trials} "
+            f"workers={workers if workers else 1} "
+            f"n_objects={','.join(str(n) for n in n_objects)} "
+            f"localities={','.join(f'{x:g}' for x in localities)} "
+            f"numpy={_numpy_version()}"
+        )
+    with telemetry.session(
+        trace=bool(trace), observe=bool(observe), profile=profile
+    ):
         if use_engine:
             from repro.engine import run_fig3
 
@@ -194,13 +212,6 @@ def _cmd_fig3(
                 seed=seed,
                 workers=workers,
             )
-    finally:
-        if trace:
-            telemetry.enable_tracing(False)
-        if observe:
-            telemetry.enable_observation(False)
-        if profile:
-            telemetry.enable_profiling(False)
     series = {
         f"Nobject={n}": [
             (p.locality_knob, p.used_channels) for p in raw[n]
@@ -211,6 +222,26 @@ def _cmd_fig3(
         series, x_label="locality", y_label="used_channels",
         title="Figure 3: Locality versus Number of Used Channels",
     ))
+    _write_artifacts("fig3", trace, observe, profile)
+    if stats:
+        reg = telemetry.get_registry()
+        print()
+        print(
+            f"grants={reg.counter('csd.connect.grants').value}  "
+            f"blocks={reg.counter('csd.connect.blocks').value}  "
+            f"rollbacks={reg.counter('chained.connect.rollbacks').value}"
+        )
+        print(reg.summary())
+    if use_engine:
+        _engine_stderr_summary("fig3")
+    return 0
+
+
+def _write_artifacts(
+    command: str, trace: Optional[str], observe: Optional[str], profile: bool
+) -> None:
+    """Export what a command's :func:`telemetry.session` recorded: the
+    Chrome trace, the observation bundle, the self-profile summary."""
     if trace:
         from repro.telemetry.export import write_chrome_trace
 
@@ -220,41 +251,25 @@ def _cmd_fig3(
             "(load it at https://ui.perfetto.dev or chrome://tracing)"
         )
     if observe:
-        _write_observe_bundle(observe, title="fig3 observation")
-    if profile:
-        _print_profile_summary("fig3 profile")
-    if stats:
-        reg = telemetry.get_registry()
-        print()
-        print(
-            f"grants={reg.counter('csd.connect.grants').value}  "
-            f"blocks={reg.counter('csd.connect.blocks').value}  "
-            f"rollbacks={reg.counter('chained.connect.rollbacks').value}"
+        from repro.telemetry.exposition import write_observation
+
+        written = write_observation(
+            telemetry.snapshot(), observe, title=f"{command} observation"
         )
-        telemetry.TextSink(sys.stdout).emit(reg)
-    if use_engine:
-        _engine_stderr_summary("fig3")
-    return 0
+        print(
+            f"wrote observation bundle to {observe}: "
+            + ", ".join(sorted(written))
+        )
+    if profile:
+        from repro.telemetry.exposition import (
+            format_profile_report,
+            observation_document,
+        )
 
-
-def _print_profile_summary(title: str) -> None:
-    from repro.telemetry.exposition import (
-        format_profile_report,
-        observation_document,
-    )
-
-    doc = observation_document(telemetry.snapshot(), title=title)
-    print(format_profile_report(doc), end="")
-
-
-def _write_observe_bundle(outdir: str, title: str) -> None:
-    from repro.telemetry.exposition import write_observation
-
-    written = write_observation(telemetry.snapshot(), outdir, title=title)
-    print(
-        f"wrote observation bundle to {outdir}: "
-        + ", ".join(sorted(written))
-    )
+        doc = observation_document(
+            telemetry.snapshot(), title=f"{command} profile"
+        )
+        print(format_profile_report(doc), end="")
 
 
 def _cmd_faults(
@@ -296,14 +311,9 @@ def _cmd_faults(
             f"n_objects={','.join(str(n) for n in n_objects)} "
             f"numpy={_numpy_version()}"
         )
-    telemetry.reset()  # report only this campaign's counters/spans
-    if trace:
-        telemetry.enable_tracing()
-    if observe:
-        telemetry.enable_observation()
-    if profile:
-        telemetry.enable_profiling()
-    try:
+    with telemetry.session(
+        trace=bool(trace), observe=bool(observe), profile=profile
+    ):
         if use_engine:
             from repro.engine import run_faults
 
@@ -324,13 +334,6 @@ def _cmd_faults(
                 workers=workers,
                 csd_rate=csd_rate,
             )
-    finally:
-        if trace:
-            telemetry.enable_tracing(False)
-        if observe:
-            telemetry.enable_observation(False)
-        if profile:
-            telemetry.enable_profiling(False)
     rows = []
     for p in report["points"]:
         rc = p["reconfig"]
@@ -353,18 +356,7 @@ def _cmd_faults(
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report_json(report))
         print(f"wrote campaign report to {report_path}")
-    if trace:
-        from repro.telemetry.export import write_chrome_trace
-
-        n_spans = write_chrome_trace(telemetry.tracer(), trace)
-        print(
-            f"wrote {n_spans} spans to {trace} "
-            "(load it at https://ui.perfetto.dev or chrome://tracing)"
-        )
-    if observe:
-        _write_observe_bundle(observe, title="faults observation")
-    if profile:
-        _print_profile_summary("faults profile")
+    _write_artifacts("faults", trace, observe, profile)
     if stats:
         reg = telemetry.get_registry()
         rec = reg.histogram("faults.recovery.cycles")
@@ -382,7 +374,7 @@ def _cmd_faults(
             f"p50={rec.percentile(50):g} p95={rec.percentile(95):g} "
             f"p99={rec.percentile(99):g}"
         )
-        telemetry.TextSink(sys.stdout).emit(reg)
+        print(reg.summary())
     if use_engine:
         _engine_stderr_summary("faults")
     return 0
@@ -401,8 +393,6 @@ def _cmd_trace_report(path: str) -> int:
 
 
 def _load_observe_path(path: str):
-    import os
-
     from repro.telemetry.exposition import load_observation
 
     target = path
@@ -503,10 +493,6 @@ def _cmd_serve(
     if error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    if metrics_port is not None:
-        # the scrape endpoint is only useful with live instruments
-        telemetry.reset()
-        telemetry.enable_observation()
 
     async def _serve() -> None:
         fabric = ResidentFabric(rows, cols, max_tenants=max_tenants)
@@ -539,7 +525,9 @@ def _cmd_serve(
                 await endpoint.close()
 
     try:
-        asyncio.run(_serve())
+        # the scrape endpoint is only useful with live instruments
+        with telemetry.session(observe=metrics_port is not None):
+            asyncio.run(_serve())
     except KeyboardInterrupt:
         print("serve: interrupted, fabric released", file=sys.stderr)
     return 0
@@ -617,24 +605,12 @@ def _cmd_service_load(
                 else f"transport={transport}"
             )
         )
-    telemetry.reset()  # report only this load's counters/series
-    if observe:
-        telemetry.enable_observation()
-    if profile:
-        telemetry.enable_profiling()
-    if trace:
-        telemetry.enable_tracing()
-    try:
+    with telemetry.session(
+        trace=bool(trace), observe=bool(observe), profile=profile
+    ):
         records = execute_load(
             config, transport=transport, connect=connect_to
         )
-    finally:
-        if observe:
-            telemetry.enable_observation(False)
-        if profile:
-            telemetry.enable_profiling(False)
-        if trace:
-            telemetry.enable_tracing(False)
     report = build_report(config, records)
     slo_report = None
     if objectives is not None:
@@ -682,10 +658,7 @@ def _cmd_service_load(
         from repro.telemetry.slo import format_slo_report
 
         print(format_slo_report(slo_report), end="")
-    if observe:
-        _write_observe_bundle(observe, title="service-load observation")
-    if profile:
-        _print_profile_summary("service-load profile")
+    _write_artifacts("service-load", None, observe, profile)
     return 1 if slo_report is not None and slo_report["breached"] else 0
 
 
@@ -1172,6 +1145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    error = _output_arg_error(args)
+    if error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
     if args.command == "table":
         return _cmd_table(args.number)
     if args.command == "fig3":

@@ -160,12 +160,6 @@ def format_telemetry(snapshot: Dict[str, Any], title: str = "") -> str:
                 title="" if sections else title,
             )
         )
-    dropped = snapshot.get("events_dropped", 0)
-    if dropped:
-        sections.append(
-            f"events dropped: {dropped} (ring buffer full — "
-            "older events were discarded)"
-        )
     if not sections:
         return f"{title}\n(no events recorded)" if title else "(no events recorded)"
     return "\n\n".join(sections)

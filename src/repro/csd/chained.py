@@ -205,10 +205,6 @@ class ChainedCSD:
             telemetry.counter("chained.connect.blocks").inc()
             if made:
                 telemetry.counter("chained.connect.rollbacks").inc(len(made))
-                telemetry.event(
-                    "chained.rollback", source=source, sink=sink,
-                    legs_rolled_back=len(made),
-                )
                 if tspan is not None:
                     tspan.add_event(
                         "chained.rollback", legs_rolled_back=len(made)

@@ -162,7 +162,6 @@ class DynamicCSDNetwork:
         granted = self.encoder.grant(surviving)
         if granted is None:
             telemetry.counter("csd.connect.blocks").inc()
-            telemetry.event("csd.block", lo=span.lo, hi=span.hi)
             if tspan is not None:
                 tspan.add_event(
                     "csd.block", lo=span.lo, hi=span.hi,

@@ -108,7 +108,7 @@ class CSDSimulator:
         With both left ``None`` (or a fault-free injector) the trial is
         byte-identical to the uninstrumented path.
 
-        When :func:`repro.telemetry.enable_observation` is on, a
+        While observation is on (``telemetry.session(observe=True)``), a
         :class:`~repro.telemetry.Sampler` snapshots segment demand and
         channel occupancy into point-labelled heatmaps as the datapath
         fills in (one logical cycle per chaining request).

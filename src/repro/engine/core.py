@@ -12,8 +12,8 @@ The engine exploits that twice:
   live channel objects;
 * a **trial cache** holds the finished
   :class:`~repro.csd.simulator.SimulationResult` together with the
-  telemetry the live path would have produced (attempt count, blocked
-  spans in order), so a warm trial costs one dict lookup plus a counter
+  telemetry the live path would have produced (attempt and blocked
+  counts), so a warm trial costs one dict lookup plus a counter
   replay.
 
 **Byte-identity contract.**  A cached trial must be indistinguishable —
@@ -71,9 +71,8 @@ class TrialEntry:
     """A resolved trial: its result plus the telemetry to replay.
 
     ``attempts`` is the number of connect attempts (one per source of
-    every request); ``blocked_spans`` the ``(lo, hi)`` spans that found
-    no free channel, in attempt order — exactly the ``csd.block`` events
-    the live path emits.  ``grant_log`` holds the granted attempts as
+    every request); ``result.blocked`` counts those that found no free
+    channel.  ``grant_log`` holds the granted attempts as
     four parallel int64 arrays ``(cycles, lo, hi, channel)`` in grant
     order, where a cycle is one chaining request (request index + 1 —
     the live sampler's clock); it is what makes cached observation
@@ -82,7 +81,6 @@ class TrialEntry:
 
     result: SimulationResult
     attempts: int
-    blocked_spans: Tuple[Tuple[int, int], ...]
     grant_log: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -112,9 +110,6 @@ class SweepEngine:
         kern = VectorCSDKernel(n_channels, n_objects - 1)
         with telemetry.profile_stage("kernel.grant_many"):
             grants = kern.grant_many(spans)
-        blocked = tuple(
-            span for span, granted in zip(spans, grants) if granted is None
-        )
         granted_rows = [
             (cycle, lo, hi, granted)
             for cycle, (lo, hi), granted in zip(span_cycles, spans, grants)
@@ -129,27 +124,27 @@ class SweepEngine:
             used_channels=kern.used_channels(),
             highest_channel=kern.highest_used_channel(),
             requests=len(requests),
-            blocked=len(blocked),
+            blocked=grants.count(None),
         )
-        return TrialEntry(result, len(spans), blocked, tuple(log))
+        return TrialEntry(result, len(spans), tuple(log))
 
     @staticmethod
     def _replay(entry: TrialEntry) -> None:
         """Re-emit the telemetry the live trial would have produced.
 
-        Counter totals, instrument creation, and ``csd.block`` event
-        order all match the live path; instruments the live path never
-        touches (e.g. grants in an all-blocked trial) stay untouched.
+        Counter totals and instrument creation match the live path;
+        instruments the live path never touches (e.g. grants in an
+        all-blocked trial) stay untouched.
         """
         telemetry.counter("fig3.trials").inc()
         with telemetry.scope("fig3.trial"):
             telemetry.counter("csd.connect.requests").inc(entry.attempts)
-            grants = entry.attempts - len(entry.blocked_spans)
+            blocked = entry.result.blocked
+            grants = entry.attempts - blocked
             if grants:
                 telemetry.counter("csd.connect.grants").inc(grants)
-            for lo, hi in entry.blocked_spans:
-                telemetry.counter("csd.connect.blocks").inc()
-                telemetry.event("csd.block", lo=lo, hi=hi)
+            if blocked:
+                telemetry.counter("csd.connect.blocks").inc(blocked)
 
     @staticmethod
     def _replay_observation(
@@ -227,7 +222,7 @@ class SweepEngine:
                         bool(two_source),
                     )
                 self._trials.put(key, entry)
-            if retry_policy is None or not entry.blocked_spans:
+            if retry_policy is None or not entry.result.blocked:
                 self.trials_cached += 1
                 with telemetry.profile_stage("engine.replay"):
                     self._replay(entry)

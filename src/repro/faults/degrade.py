@@ -134,13 +134,6 @@ class FaultAwareDefectInjector(DefectInjector):
         self.degradations.append(report)
         telemetry.counter("faults.degradations").inc()
         telemetry.counter(f"faults.degradations.{report.action}").inc()
-        telemetry.event(
-            "faults.degradation",
-            level=report.level,
-            target=report.target,
-            action=report.action,
-            survived=report.survived,
-        )
         telemetry.instant(
             "fault.degradation",
             level=report.level,

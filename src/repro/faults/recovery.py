@@ -122,10 +122,6 @@ def with_retry(
             last_exc = exc
             if attempt == policy.max_attempts:
                 telemetry.counter("faults.recovery.exhausted").inc()
-                telemetry.event(
-                    "faults.retry.exhausted", what=what,
-                    attempts=attempt, backoff_cycles=backoff_total,
-                )
                 if tracer.enabled:
                     tracer.instant(
                         "faults.retry.exhausted", what=what, attempts=attempt
@@ -150,10 +146,6 @@ def with_retry(
             telemetry.counter("faults.recovery.recovered").inc()
             telemetry.histogram("faults.recovery.cycles").observe(
                 backoff_total
-            )
-            telemetry.event(
-                "faults.retry.recovered", what=what,
-                attempts=attempt, backoff_cycles=backoff_total,
             )
             if tracer.enabled:
                 tracer.instant(

@@ -394,10 +394,6 @@ class RouterNetwork:
             )
             self.delivered.append(record)
             telemetry.counter("noc.packets.delivered").inc()
-            telemetry.event(
-                "noc.delivered", packet_id=pid, latency=record.latency,
-                hops=record.hops, n_flits=record.n_flits,
-            )
             telemetry.instant(
                 "noc.packet.delivered", packet=pid,
                 latency=record.latency, hops=record.hops,
@@ -428,7 +424,6 @@ class RouterNetwork:
         self._packet_meta.clear()
         if dropped:
             telemetry.counter("noc.purged_flits").inc(dropped)
-            telemetry.event("noc.purge", flits=dropped)
         return dropped
 
     # -- state queries -----------------------------------------------------

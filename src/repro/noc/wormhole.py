@@ -165,9 +165,6 @@ class WormholeConfigurator:
                     tracer.advance()
         except WORM_FAILURES:
             telemetry.counter("wormhole.aborts").inc()
-            telemetry.event(
-                "wormhole.abort", op_id=op_id, region_head=region.path[0]
-            )
             if tspan is not None:
                 tspan.add_event(
                     "wormhole.abort", op_id=op_id,
@@ -425,9 +422,6 @@ class WormholeConfigurator:
                 self.fabric.cluster(coord).free()
         except WORM_FAILURES:
             telemetry.counter("wormhole.aborts").inc()
-            telemetry.event(
-                "wormhole.abort", op_id=op_id, region_head=new.path[0]
-            )
             if tspan is not None:
                 tspan.add_event(
                     "wormhole.abort", op_id=op_id,

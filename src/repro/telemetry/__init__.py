@@ -1,5 +1,5 @@
-"""repro.telemetry — counters, timers, histograms, events, and causal
-span traces for the simulators.
+"""repro.telemetry — counters, timers, histograms, and causal span
+traces for the simulators.
 
 The interconnect papers this reproduction leans on (Epiphany-V, the
 Distributed Network Processor) evaluate their networks with instrumented
@@ -22,16 +22,19 @@ Two usage styles:
 Snapshots are plain picklable dicts; a parallel sweep's worker processes
 return ``snapshot()`` next to their results and the parent folds them in
 with :func:`merge` (:func:`repro.telemetry.pool.pool_map` does both) —
-so ``--workers N`` loses no observability.  Span
-tracing is **off by default** (:func:`enable_tracing` turns it on) and
-costs one attribute check per protocol step when disabled.
+so ``--workers N`` loses no observability.
+
+Tracing, observation and profiling are **off by default** and cost one
+attribute check per guarded site while off.  An instrumented run turns
+them on through :func:`session`, which starts from a reset registry and
+switches all three off again when the run ends.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator
 
-from repro.telemetry.events import Event, EventTrace
 from repro.telemetry.metrics import Counter, Histogram, Scope, Timer
 from repro.telemetry.observe import (
     Gauge,
@@ -42,7 +45,6 @@ from repro.telemetry.observe import (
 )
 from repro.telemetry.profile import NULL_STAGE, Profiler, ProfileStage
 from repro.telemetry.registry import Registry
-from repro.telemetry.sinks import JSONSink, Sink, TextSink
 from repro.telemetry.tracing import Span, SpanEvent, Tracer
 
 __all__ = [
@@ -55,12 +57,7 @@ __all__ = [
     "Heatmap",
     "Sampler",
     "Observer",
-    "Event",
-    "EventTrace",
     "Registry",
-    "Sink",
-    "TextSink",
-    "JSONSink",
     "Tracer",
     "Span",
     "SpanEvent",
@@ -71,7 +68,6 @@ __all__ = [
     "gauge",
     "time_series",
     "heatmap",
-    "event",
     "scope",
     "tracer",
     "span",
@@ -84,6 +80,7 @@ __all__ = [
     "profiler",
     "enable_profiling",
     "profile_stage",
+    "session",
     "snapshot",
     "merge",
     "reset",
@@ -121,10 +118,6 @@ def time_series(name: str) -> TimeSeries:
 
 def heatmap(name: str) -> Heatmap:
     return _default.heatmap(name)
-
-
-def event(name: str, **fields: Any) -> None:
-    _default.event(name, **fields)
 
 
 def scope(name: str) -> Scope:
@@ -197,6 +190,32 @@ def profile_stage(name: str):
     if not _default.profiler.enabled:
         return NULL_STAGE
     return ProfileStage(_default.histogram(f"profile.{name}.seconds"))
+
+
+@contextmanager
+def session(
+    trace: bool = False,
+    observe: bool = False,
+    profile: bool = False,
+    stride: int = 0,
+) -> Iterator[None]:
+    """``with telemetry.session(trace=True):`` — one instrumented run.
+
+    Resets the default registry and sets the tracing, observation (with
+    ``stride``, see :func:`enable_observation`) and profiling switches as
+    asked.  On exit, normal or by exception, all three switches go off;
+    what the run recorded stays in the registry for export.
+    """
+    reset()
+    enable_tracing(trace)
+    enable_observation(observe, stride)
+    enable_profiling(profile)
+    try:
+        yield
+    finally:
+        enable_tracing(False)
+        enable_observation(False)
+        enable_profiling(False)
 
 
 def snapshot() -> Dict[str, Any]:

@@ -429,18 +429,13 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
             seed=seed,
             n_objects_list=[int(config["identity_n_objects"][0])],
         )
-        try:
-            telemetry.reset()
-            telemetry.enable_observation()
+        with telemetry.session(observe=True):
             figure3_series(**obs_kwargs)
-            live_doc = observe_json(observation_document(telemetry.snapshot()))
-            telemetry.reset()
-            telemetry.enable_observation()
+        live_doc = observe_json(observation_document(telemetry.snapshot()))
+        with telemetry.session(observe=True):
             run_fig3(**obs_kwargs)
-            vector_doc = observe_json(observation_document(telemetry.snapshot()))
-        finally:
-            telemetry.enable_observation(False)
-            telemetry.reset()
+        vector_doc = observe_json(observation_document(telemetry.snapshot()))
+        telemetry.reset()
         deterministic["megascale.identical_observed"] = float(
             vector_doc == live_doc
         )

@@ -103,8 +103,7 @@ class TimeSeries:
     """A named, ring-buffered sequence of ``(cycle, value)`` samples.
 
     The ring is bounded: when full, the oldest sample falls off the
-    front and is tallied in :attr:`dropped` (the same discipline as
-    :class:`~repro.telemetry.events.EventTrace`).  ``samples()`` and the
+    front and is tallied in :attr:`dropped`.  ``samples()`` and the
     snapshot are **canonically sorted** by ``(cycle, value)`` so two
     registries holding the same multiset of samples — a serial run and a
     merged parallel one — expose byte-identical output.

@@ -7,12 +7,13 @@ processes, get the results back in task order, and leave the parent's
 registry exactly as a serial run would.  :func:`pool_map` is that one
 dispatcher.
 
-Per task, the worker resets its registry (a forked worker inherits the
-parent's counts and must report only its own), restores the parent's
-tracing, observation (with its stride) and profiling switches — passed
-in the task payload, not inherited, so spawn-based pools behave the
-same — runs the function, and ships its snapshot back next to the
-result.  The parent merges the snapshots in task order, never
+Per task, the worker runs the function in a
+:func:`repro.telemetry.session` with the parent's tracing, observation
+(with its stride) and profiling switches, and ships its snapshot back
+next to the result.  The switches travel in the task payload, not by
+inheritance, so spawn-based pools behave the same; the session's reset
+drops the counts a forked worker inherits, so each task reports only
+its own.  The parent merges the snapshots in task order, never
 completion order.  ``Executor.map`` submits every task up front, so
 free workers still pick up whatever is left; callers balance load by
 the size of the tasks they hand in.
@@ -42,11 +43,8 @@ def _switches() -> _Switches:
 
 def _run_task(payload: Tuple[Callable[..., Any], _Switches, tuple]):
     fn, (trace, observe, stride, profile), args = payload
-    telemetry.reset()
-    telemetry.enable_tracing(trace)
-    telemetry.enable_observation(observe, stride)
-    telemetry.enable_profiling(profile)
-    result = fn(*args)
+    with telemetry.session(trace, observe, profile, stride):
+        result = fn(*args)
     return result, telemetry.snapshot()
 
 

@@ -1,7 +1,7 @@
 """The telemetry registry: named instruments under one namespace.
 
 One :class:`Registry` holds every counter, timer and histogram, the
-event trace, and the span tracer for a component (by convention
+observation instruments, and the span tracer for a component (by convention
 instrument names are dotted paths like ``csd.connect.grants``).
 Snapshots are plain dicts, so they cross process boundaries — a
 parallel sweep's worker processes each run their own registry, ship
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.telemetry.events import EventTrace
 from repro.telemetry.metrics import Counter, Histogram, Timer
 from repro.telemetry.observe import Gauge, Heatmap, Observer, TimeSeries
 from repro.telemetry.profile import Profiler
@@ -24,9 +23,9 @@ __all__ = ["Registry"]
 
 class Registry:
     """A namespace of counters, timers, histograms, gauges, time-series,
-    heatmaps, one event trace, and one span tracer."""
+    heatmaps, and one span tracer."""
 
-    def __init__(self, name: str = "repro", trace_capacity: int = 1024) -> None:
+    def __init__(self, name: str = "repro") -> None:
         self.name = name
         self.counters: Dict[str, Counter] = {}
         self.timers: Dict[str, Timer] = {}
@@ -34,7 +33,6 @@ class Registry:
         self.gauges: Dict[str, Gauge] = {}
         self.series: Dict[str, TimeSeries] = {}
         self.heatmaps: Dict[str, Heatmap] = {}
-        self.trace = EventTrace(trace_capacity)
         self.tracer = Tracer()
         self.observer = Observer()
         self.profiler = Profiler()
@@ -77,18 +75,13 @@ class Registry:
             heatmap = self.heatmaps[name] = Heatmap(name)
         return heatmap
 
-    def event(self, name: str, **fields: Any) -> None:
-        self.trace.record(name, **fields)
-
     # -- snapshot / merge / reset -----------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Pickle-able state of every instrument.
 
-        Events stay local to the process that recorded them (only their
-        ``events_dropped`` tally travels); tracer spans *are* included,
-        so a worker's causal trace folds back into the parent exactly
-        like its counters do.
+        Tracer spans are included, so a worker's causal trace folds back
+        into the parent exactly like its counters do.
         """
         return {
             "name": self.name,
@@ -105,7 +98,6 @@ class Registry:
             "heatmaps": {
                 n: h.state() for n, h in sorted(self.heatmaps.items())
             },
-            "events_dropped": self.trace.dropped,
             "spans": self.tracer.snapshot(),
         }
 
@@ -125,7 +117,6 @@ class Registry:
             self.time_series(name).merge_state(state)
         for name, state in snapshot.get("heatmaps", {}).items():
             self.heatmap(name).merge_state(state)
-        self.trace.dropped += snapshot.get("events_dropped", 0)
         spans = snapshot.get("spans")
         if spans:
             self.tracer.merge(spans)
@@ -143,7 +134,6 @@ class Registry:
             series.reset()
         for heatmap in self.heatmaps.values():
             heatmap.reset()
-        self.trace.clear()
         self.tracer.clear()
         # the guards are process-wide mutable state too: a run that
         # enabled tracing or observation must not leak either into the

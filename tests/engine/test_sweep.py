@@ -111,19 +111,13 @@ class TestVectorKernelIdentity:
     def _routes(sweep, **kwargs):
         """Run ``sweep`` observed; return its series plus every trial's
         route: the segment-demand / channel-occupancy heatmaps (which
-        channel each grant took) and the ``csd.block`` events in order."""
-        telemetry.reset()
-        telemetry.enable_observation()
-        try:
+        channel each grant took)."""
+        with telemetry.session(observe=True):
             series = sweep(
                 localities=LOCALITIES, n_trials=3, seed=7,
                 n_objects_list=N_OBJECTS, **kwargs,
             )
-            heatmaps = telemetry.snapshot()["heatmaps"]
-            events = telemetry.get_registry().trace.as_dicts()
-        finally:
-            telemetry.enable_observation(False)
-        return series, heatmaps, events
+        return series, telemetry.snapshot()["heatmaps"]
 
     def test_fig3_vector_matches_legacy_and_route(self):
         series, sig = self._legacy()

@@ -1,20 +1,9 @@
 """Unit tests for the repro.telemetry subsystem."""
 
-import io
-import json
-
 import pytest
 
 from repro import telemetry
-from repro.telemetry import (
-    Counter,
-    EventTrace,
-    JSONSink,
-    Registry,
-    Scope,
-    TextSink,
-    Timer,
-)
+from repro.telemetry import Counter, Registry, Scope, Timer
 
 
 class TestCounter:
@@ -62,34 +51,6 @@ class TestScope:
             with Scope(t):
                 raise RuntimeError("boom")
         assert t.calls == 1
-
-
-class TestEventTrace:
-    def test_records_in_order(self):
-        trace = EventTrace(capacity=8)
-        trace.record("a", x=1)
-        trace.record("b", x=2)
-        assert [e.name for e in trace] == ["a", "b"]
-        assert trace.as_dicts()[0] == {"seq": 0, "name": "a", "x": 1}
-
-    def test_ring_drops_oldest(self):
-        trace = EventTrace(capacity=2)
-        for i in range(5):
-            trace.record("e", i=i)
-        assert len(trace) == 2
-        assert trace.dropped == 3
-        assert [dict(e.fields)["i"] for e in trace] == [3, 4]
-
-    def test_filter_by_name(self):
-        trace = EventTrace()
-        trace.record("block")
-        trace.record("grant")
-        trace.record("block")
-        assert len(trace.events("block")) == 2
-
-    def test_needs_capacity(self):
-        with pytest.raises(ValueError):
-            EventTrace(0)
 
 
 class TestRegistry:
@@ -153,26 +114,6 @@ class TestRegistry:
         assert forward.histogram("lat").p50 == backward.histogram("lat").p50
         assert forward.histogram("lat").p99 == backward.histogram("lat").p99
 
-    def test_merge_accumulates_events_dropped(self):
-        # satellite: the ring buffer's dropped tally survives the trip
-        # through worker snapshots even though the events themselves
-        # stay local to the worker
-        parent = Registry("parent")
-        for _ in range(2):
-            w = Registry("w", trace_capacity=1)
-            w.event("a")
-            w.event("b")
-            w.event("c")
-            assert w.snapshot()["events_dropped"] == 2
-            parent.merge(w.snapshot())
-        assert parent.trace.dropped == 4
-
-    def test_summary_reports_events_dropped(self):
-        reg = Registry("t", trace_capacity=1)
-        reg.event("a")
-        reg.event("b")
-        assert "events dropped: 1" in reg.summary()
-
     def test_summary_reports_histograms(self):
         reg = Registry("t")
         reg.histogram("lat").extend([1, 2, 3, 4])
@@ -185,12 +126,10 @@ class TestRegistry:
         reg.counter("hits").inc()
         reg.timer("phase").add(1.0)
         reg.histogram("lat").observe(3)
-        reg.event("boom")
         reg.reset()
         assert reg.counter("hits").value == 0
         assert reg.timer("phase").calls == 0
         assert reg.histogram("lat").count == 0
-        assert len(reg.trace) == 0
 
     def test_summary_elides_zero_instruments(self):
         reg = Registry("t")
@@ -254,33 +193,12 @@ class TestHistogramStats:
         assert "Min" in out and "Stddev" in out
 
 
-class TestSinks:
-    def test_text_sink(self):
-        reg = Registry("t")
-        reg.counter("hits").inc(2)
-        buf = io.StringIO()
-        TextSink(buf).emit(reg)
-        assert "hits" in buf.getvalue()
-
-    def test_json_sink(self):
-        reg = Registry("t")
-        reg.counter("hits").inc(2)
-        reg.event("boom", where="here")
-        buf = io.StringIO()
-        JSONSink(buf).emit(reg)
-        payload = json.loads(buf.getvalue())
-        assert payload["counters"] == {"hits": 2}
-        assert payload["events"][0]["name"] == "boom"
-        assert payload["events_dropped"] == 0
-
-
 class TestDefaultRegistry:
     def test_module_level_helpers(self):
         telemetry.reset()
         telemetry.counter("test.hits").inc(2)
         with telemetry.scope("test.phase"):
             pass
-        telemetry.event("test.event")
         snap = telemetry.snapshot()
         assert snap["counters"]["test.hits"] == 2
         assert snap["timers"]["test.phase"]["calls"] == 1
@@ -301,4 +219,70 @@ class TestDefaultRegistry:
         assert snap["counters"]["csd.connect.grants"] == 1
         assert snap["counters"]["csd.connect.blocks"] == 1
         assert snap["counters"]["csd.disconnects"] == 1
-        assert telemetry.get_registry().trace.events("csd.block")
+
+
+def _switches():
+    obs = telemetry.observer()
+    return (
+        telemetry.tracer().enabled,
+        obs.enabled,
+        obs.stride,
+        telemetry.profiler().enabled,
+    )
+
+
+def _record_work():
+    telemetry.counter("session.hits").inc(3)
+    with telemetry.span("session.work"):
+        pass
+
+
+class TestSession:
+    """``telemetry.session`` is the one way an instrumented run starts:
+    a reset registry, exactly the requested switches, and all three off
+    again on the way out with what was recorded kept for export."""
+
+    @pytest.fixture(autouse=True)
+    def _clean(self):
+        telemetry.reset()
+        yield
+        telemetry.reset()
+
+    @pytest.mark.parametrize("trace, observe, profile, stride", [
+        (False, False, False, 0),
+        (True, False, False, 0),
+        (False, True, False, 5),
+        (False, False, True, 0),
+        (True, True, True, 3),
+    ])
+    def test_entry_resets_and_sets_requested_switches(
+        self, trace, observe, profile, stride
+    ):
+        telemetry.counter("session.stale").inc(7)
+        # start from the opposite switches, so entering must set each one
+        telemetry.enable_tracing(not trace)
+        telemetry.enable_observation(not observe, stride + 1)
+        telemetry.enable_profiling(not profile)
+        with telemetry.session(
+            trace=trace, observe=observe, profile=profile, stride=stride
+        ):
+            assert telemetry.counter("session.stale").value == 0
+            assert _switches() == (trace, observe, stride, profile)
+
+    def test_normal_exit_switches_off_and_keeps_data(self):
+        with telemetry.session(
+            trace=True, observe=True, profile=True, stride=2
+        ):
+            _record_work()
+        assert _switches() == (False, False, 0, False)
+        assert telemetry.snapshot()["counters"]["session.hits"] == 3
+        assert [s.name for s in telemetry.tracer().spans] == ["session.work"]
+
+    def test_exception_exit_switches_off_and_keeps_data(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with telemetry.session(trace=True, observe=True, profile=True):
+                _record_work()
+                raise RuntimeError("boom")
+        assert _switches() == (False, False, 0, False)
+        assert telemetry.snapshot()["counters"]["session.hits"] == 3
+        assert [s.name for s in telemetry.tracer().spans] == ["session.work"]

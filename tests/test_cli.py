@@ -394,6 +394,57 @@ class TestSweepArgumentErrors:
         assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: ")
 
 
+class TestOutputPathErrors:
+    """An output path that cannot be written exits 2 with one stderr
+    line before the run starts, not with a traceback after it: a file
+    output needs an existing parent directory and must not be one, and
+    --observe must not name an existing file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--n-objects", "16", "--trials", "1",
+         "--trace", "{missing}/x.json"],
+        ["fig3", "--n-objects", "16", "--trials", "1",
+         "--observe", "{file}"],
+        ["faults", "--n-objects", "16", "--trials", "1",
+         "--report", "{dir}"],
+        ["faults", "--n-objects", "16", "--trials", "1",
+         "--observe", "{file}"],
+        ["service-load", "--requests", "4", "--trace", "{missing}/t.json"],
+        ["service-load", "--requests", "4", "--report", "{dir}"],
+        ["service-load", "--requests", "4", "--records", "{missing}/r.json"],
+        ["defrag", "--report", "{missing}/d.json"],
+        ["slo-report", "{spec}", "--records", "{records}",
+         "--report", "{missing}/s.json"],
+    ])
+    def test_exits_2_before_the_run(self, argv, capsys, tmp_path):
+        existing = tmp_path / "existing.txt"
+        existing.write_text("keep me\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"objective": [{
+            "name": "rejections", "kind": "rejection_rate",
+            "threshold": 0.5, "window_cycles": 64, "budget": 0.5,
+        }]}))
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({
+            "schema": "repro.service.records/1", "records": [],
+            "config": {"rows": 8, "cols": 8},
+        }))
+        paths = {
+            "missing": tmp_path / "missing",
+            "file": existing,
+            "dir": tmp_path,
+            "spec": spec,
+            "records": records,
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: ")
+        assert existing.read_text() == "keep me\n"
+        assert not (tmp_path / "missing").exists()
+
+
 class TestDieSizeErrors:
     """chip and serve reject a die without clusters like every other bad
     argument: exit 2 with one stderr line, before a fabric is built or

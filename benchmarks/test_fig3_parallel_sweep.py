@@ -1,9 +1,9 @@
-"""Benchmark: serial vs parallel Figure 3 sweep (the ``workers=`` engine).
+"""Benchmark: serial vs parallel Figure 3 sweep (``run_fig3(workers=)``).
 
-Runs the full ``figure3_series(n_trials=10)`` twice — serial, then fanned
-out over a 4-worker process pool — asserts the outputs are bit-identical,
-and records both wall times plus the merged telemetry counters in
-``benchmarks/results/fig3_parallel_sweep.txt``.
+Runs the full engine sweep ``run_fig3(n_trials=10)`` twice — serial,
+then fanned out over a 4-worker process pool — asserts the outputs are
+bit-identical, and records both wall times plus the merged telemetry
+counters in ``benchmarks/results/fig3_parallel_sweep.txt``.
 
 The ≥2x speedup assertion only fires on hosts with at least 4 CPUs: on a
 single-core runner the pool cannot beat the serial loop, but the
@@ -15,7 +15,7 @@ import os
 import time
 
 from repro import telemetry
-from repro.csd.simulator import figure3_series
+from repro.engine import run_fig3
 
 WORKERS = 4
 N_TRIALS = 10
@@ -26,13 +26,13 @@ def test_fig3_parallel_sweep_identical_and_timed(emit):
 
     telemetry.reset()
     t0 = time.perf_counter()
-    serial = figure3_series(n_trials=N_TRIALS)
+    serial = run_fig3(n_trials=N_TRIALS)
     serial_s = time.perf_counter() - t0
     serial_counters = telemetry.snapshot()["counters"]
 
     telemetry.reset()
     t0 = time.perf_counter()
-    parallel = figure3_series(n_trials=N_TRIALS, workers=WORKERS)
+    parallel = run_fig3(n_trials=N_TRIALS, workers=WORKERS)
     parallel_s = time.perf_counter() - t0
     parallel_counters = telemetry.snapshot()["counters"]
 

@@ -6,11 +6,9 @@ Usage::
     python -m repro table 4          # Table 4 (APs / delay / GOPS)
     python -m repro fig3             # Figure 3 channel-demand series
     python -m repro fig3 --workers 4 --stats  # parallel sweep + telemetry
-    python -m repro fig3 --engine --workers 4 # batched, cached sweep engine
     python -m repro fig3 --trace out.json     # Perfetto-loadable span trace
     python -m repro fig3 --observe out/       # OpenMetrics + dashboard bundle
-    python -m repro fig3 --engine --observe out/  # replayed observation
-    python -m repro fig3 --engine --profile --observe out/  # stage self-timing
+    python -m repro fig3 --profile --observe out/  # stage self-timing
     python -m repro trace-report out.json     # critical path / latencies
     python -m repro observe-report out/       # summarise an --observe bundle
     python -m repro profile out/              # summarise the self-profile layer
@@ -81,18 +79,6 @@ def _cmd_table(number: int) -> int:
     return 0
 
 
-def _engine_stderr_summary(command: str) -> None:
-    """One engine-effectiveness line on stderr (stdout stays byte-identical
-    to the legacy path, so cache stats must not land there)."""
-    counters = telemetry.snapshot().get("counters", {})
-    cached = counters.get("engine.trials.cached", 0)
-    live = counters.get("engine.trials.live", 0)
-    print(
-        f"{command}: engine trials cached={cached} live={live}",
-        file=sys.stderr,
-    )
-
-
 def _sweep_arg_error(
     n_objects: List[int],
     trials: int,
@@ -129,7 +115,7 @@ def _output_arg_error(args: argparse.Namespace) -> Optional[str]:
     """Why an output path on the command line cannot be written, or
     ``None`` — checked before any work, so a bad path exits 2 instead of
     a traceback after the run."""
-    files = ["trace", "report"]
+    files = ["trace", "report", "out"]
     if args.command == "service-load":  # slo-report reads its --records
         files.append("records")
     for name in files:
@@ -142,9 +128,14 @@ def _output_arg_error(args: argparse.Namespace) -> Optional[str]:
         if os.path.isdir(path):
             return f"--{name} {path} is a directory"
     observe = getattr(args, "observe", None)
-    if observe is not None and os.path.exists(observe):
-        if not os.path.isdir(observe):
-            return f"--observe {observe} exists and is not a directory"
+    if observe is not None:
+        # the bundle's directories are made on write: the nearest
+        # existing ancestor must be a directory
+        ancestor = os.path.abspath(observe)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            return f"--observe {observe}: {ancestor} is not a directory"
     return None
 
 
@@ -163,22 +154,14 @@ def _cmd_fig3(
     trace: Optional[str] = None,
     observe: Optional[str] = None,
     quiet: bool = False,
-    engine: bool = False,
     profile: bool = False,
 ) -> int:
-    from repro.csd.simulator import figure3_series
+    from repro.engine import run_fig3
 
     error = _sweep_arg_error(n_objects, trials, workers)
     if error:
         print(f"fig3: {error}", file=sys.stderr)
         return 2
-    use_engine = engine and not trace
-    if engine and not use_engine:
-        print(
-            "fig3: --engine cannot replay traces; "
-            "running the traced path instead",
-            file=sys.stderr,
-        )
     localities = [1.0, 0.8, 0.6, 0.4, 0.2, 0.0]
     if (stats or trace or observe or profile) and not quiet:
         # reproducibility banner: everything needed to reconstruct this
@@ -194,24 +177,13 @@ def _cmd_fig3(
     with telemetry.session(
         trace=bool(trace), observe=bool(observe), profile=profile
     ):
-        if use_engine:
-            from repro.engine import run_fig3
-
-            raw = run_fig3(
-                localities=localities,
-                n_trials=trials,
-                n_objects_list=n_objects,
-                seed=seed,
-                workers=workers,
-            )
-        else:
-            raw = figure3_series(
-                localities=localities,
-                n_trials=trials,
-                n_objects_list=n_objects,
-                seed=seed,
-                workers=workers,
-            )
+        raw = run_fig3(
+            localities=localities,
+            n_trials=trials,
+            n_objects_list=n_objects,
+            seed=seed,
+            workers=workers,
+        )
     series = {
         f"Nobject={n}": [
             (p.locality_knob, p.used_channels) for p in raw[n]
@@ -232,8 +204,6 @@ def _cmd_fig3(
             f"rollbacks={reg.counter('chained.connect.rollbacks').value}"
         )
         print(reg.summary())
-    if use_engine:
-        _engine_stderr_summary("fig3")
     return 0
 
 
@@ -283,23 +253,16 @@ def _cmd_faults(
     report_path: Optional[str] = None,
     observe: Optional[str] = None,
     quiet: bool = False,
-    engine: bool = False,
     csd_rate: Optional[float] = None,
     profile: bool = False,
 ) -> int:
-    from repro.faults.campaign import report_json, run_campaign
+    from repro.engine import run_faults
+    from repro.faults.campaign import report_json
 
     error = _sweep_arg_error(n_objects, trials, workers, rates, csd_rate)
     if error:
         print(f"faults: {error}", file=sys.stderr)
         return 2
-    use_engine = engine and not trace
-    if engine and not use_engine:
-        print(
-            "faults: --engine cannot replay traces; "
-            "running the traced path instead",
-            file=sys.stderr,
-        )
     if not quiet:
         # reproducibility banner: the campaign derives every fault draw
         # and every trial seed from exactly these knobs; numpy's version
@@ -314,26 +277,14 @@ def _cmd_faults(
     with telemetry.session(
         trace=bool(trace), observe=bool(observe), profile=profile
     ):
-        if use_engine:
-            from repro.engine import run_faults
-
-            report = run_faults(
-                rates,
-                n_objects_list=n_objects,
-                n_trials=trials,
-                seed=seed,
-                workers=workers,
-                csd_rate=csd_rate,
-            )
-        else:
-            report = run_campaign(
-                rates,
-                n_objects_list=n_objects,
-                n_trials=trials,
-                seed=seed,
-                workers=workers,
-                csd_rate=csd_rate,
-            )
+        report = run_faults(
+            rates,
+            n_objects_list=n_objects,
+            n_trials=trials,
+            seed=seed,
+            workers=workers,
+            csd_rate=csd_rate,
+        )
     rows = []
     for p in report["points"]:
         rc = p["reconfig"]
@@ -375,8 +326,6 @@ def _cmd_faults(
             f"p99={rec.percentile(99):g}"
         )
         print(reg.summary())
-    if use_engine:
-        _engine_stderr_summary("faults")
     return 0
 
 
@@ -817,7 +766,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_fig3.add_argument("--trials", type=int, default=5)
     p_fig3.add_argument(
         "--workers", type=int, default=None,
-        help="fan locality points out over N worker processes "
+        help="fan the (N, locality) points out over N worker processes "
         "(bit-identical to the serial sweep)",
     )
     p_fig3.add_argument(
@@ -845,15 +794,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="suppress the reproducibility banner",
     )
     p_fig3.add_argument(
-        "--engine", action="store_true",
-        help="run trials through the batched, cached sweep engine "
-        "(vector-kernel cold path; byte-identical stdout and --observe "
-        "bundle; cache stats go to stderr; ignored under --trace)",
-    )
-    p_fig3.add_argument(
         "--profile", action="store_true",
         help="time the engine's own stages (resolve, replay, kernel "
-        "batch, pool dispatch) and print a self-profile summary; the "
+        "grants, sweep dispatch) and print a self-profile summary; the "
         "profile.* families also land in the --observe bundle",
     )
 
@@ -876,7 +819,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_faults.add_argument("--trials", type=int, default=8)
     p_faults.add_argument(
         "--workers", type=int, default=None,
-        help="fan campaign points out over N worker processes "
+        help="fan the (N, rate) points out over N worker processes "
         "(bit-identical report to the serial run)",
     )
     p_faults.add_argument(
@@ -910,16 +853,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="suppress the reproducibility banner",
     )
     p_faults.add_argument(
-        "--engine", action="store_true",
-        help="run the CSD phase of every trial through the batched, "
-        "cached sweep engine (byte-identical report and --observe "
-        "bundle; cache stats go to stderr; ignored under --trace)",
-    )
-    p_faults.add_argument(
         "--csd-rate", type=float, default=None,
         help="pin the CSD-segment fault rate at this value while --rates "
         "sweeps every other fault kind (0 keeps the datapath fault-free "
-        "so the engine's cache stays engaged); recorded "
+        "so every CSD phase runs on the vector kernel); recorded "
         "in the report as 'csd_rate'",
     )
     p_faults.add_argument(
@@ -1155,8 +1092,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_fig3(
             args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
-            observe=args.observe, quiet=args.quiet, engine=args.engine,
-            profile=args.profile,
+            observe=args.observe, quiet=args.quiet, profile=args.profile,
         )
     if args.command == "faults":
         if args.rates is not None:
@@ -1169,8 +1105,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rates, args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
             report_path=args.report, observe=args.observe,
-            quiet=args.quiet, engine=args.engine,
-            csd_rate=args.csd_rate, profile=args.profile,
+            quiet=args.quiet, csd_rate=args.csd_rate, profile=args.profile,
         )
     if args.command == "trace-report":
         return _cmd_trace_report(args.trace_file)

@@ -15,13 +15,12 @@ headline findings to reproduce are
 * "Nobject/2 channels are sufficient for the random datapath",
 * higher locality uses fewer channels.
 
-Figure-3-scale sweeps (hundreds of trials across five array sizes) can
-fan out over a process pool: both :func:`sweep_locality` and
-:func:`figure3_series` take ``workers=``.  Trials are chunked by
-locality point, every trial derives its seed from the sweep seed alone,
-and worker processes ship their telemetry snapshots back with the
-results — so the parallel path is **bit-identical** to the serial one
-and loses no observability.
+:func:`sweep_locality` and :func:`figure3_series` run the sweep
+serially on the live network; they are the oracles the sweep engine
+(:func:`repro.engine.run_fig3`, which the ``fig3`` command runs, on the
+vector kernel and optionally over a process pool) must reproduce bit
+for bit.  Every trial derives its seed from the sweep seed and the
+trial index alone.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.errors import ChannelAllocationError, RetryExhaustedError
 from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.locality import LocalityWorkload
 from repro.telemetry.observe import Sampler, point_label
-from repro.telemetry.pool import pool_map
 
 __all__ = [
     "SimulationResult",
@@ -44,10 +42,16 @@ __all__ = [
     "sweep_locality",
     "figure3_series",
     "FIGURE3_NOBJECTS",
+    "FIGURE3_LOCALITIES",
 ]
 
 #: The array sizes plotted in Figure 3.
 FIGURE3_NOBJECTS: Tuple[int, ...] = (16, 32, 64, 128, 256)
+
+#: The locality knob of the full Figure 3 series, most local first.
+FIGURE3_LOCALITIES: Tuple[float, ...] = (
+    1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0,
+)
 
 
 @dataclass(frozen=True)
@@ -208,21 +212,38 @@ class CSDSimulator:
         return float(np.mean([r.used_channels for r in results]))
 
 
-# -- sweep engine -----------------------------------------------------------
+# -- sweeps -----------------------------------------------------------------
 
 
-def _aggregate_point(
-    n_objects: int, locality: float, trials: Sequence[SimulationResult]
+def _sweep_point(
+    n_objects: int, locality: float, n_trials: int, seed: int, engine=None
 ) -> SimulationResult:
-    """Fold one point's trial results into the averaged point.
+    """One averaged Figure 3 point: every trial's seed derives only from
+    ``seed`` and the trial index, never from execution order.
 
-    Shared verbatim by the serial sweep, the per-point pool fan-out, and
-    the batched engine path (:mod:`repro.engine.sweep`): ``np.mean`` over
-    the trials in trial order is the whole formula, so any path feeding
-    the same trial results in the same order produces bit-identical
-    floats.
+    ``engine`` (a :class:`repro.engine.SweepEngine`) runs the trials
+    through :meth:`~repro.engine.SweepEngine.run_csd_trial` instead of
+    the live simulator; the engine guarantees the same results and
+    telemetry, so the point (``np.mean`` over the trials in trial
+    order) is bit-identical either way.
     """
-    return SimulationResult(
+    with telemetry.scope("fig3.point"), telemetry.tracer().span(
+        "fig3.point", kind="sweep", n_objects=n_objects,
+        locality=locality, trials=n_trials, seed=seed,
+    ):
+        if engine is None:
+            trials = CSDSimulator(n_objects, seed=seed).run_many(
+                locality, n_trials
+            )
+        else:
+            trials = [
+                engine.run_csd_trial(
+                    n_objects, locality, seed + 1000 * t,
+                    sample_series=(t == 0),
+                )
+                for t in range(n_trials)
+            ]
+    point = SimulationResult(
         n_objects=n_objects,
         locality_knob=locality,
         realized_locality=float(
@@ -235,36 +256,10 @@ def _aggregate_point(
         requests=trials[0].requests,
         blocked=int(round(np.mean([t.blocked for t in trials]))),
     )
-
-
-def record_point_gauges(point: SimulationResult) -> None:
-    """Set one Figure-3 point's observation gauges.
-
-    Shared by the legacy sweep and the engine paths
-    (:mod:`repro.engine.sweep`), so every path leaves the same
-    ``fig3.used_channels`` / ``fig3.blocked`` gauge state (one update
-    per point) behind."""
-    label = point_label(n=point.n_objects, loc=point.locality_knob)
-    telemetry.gauge(f"fig3.used_channels{label}").set(point.used_channels)
-    telemetry.gauge(f"fig3.blocked{label}").set(point.blocked)
-
-
-def _sweep_point(
-    n_objects: int, locality: float, n_trials: int, seed: int
-) -> SimulationResult:
-    """One averaged Figure 3 point — the unit of work both the serial
-    and the parallel sweep paths share, so their outputs are identical
-    by construction: every trial's seed derives only from ``seed`` and
-    the trial index, never from execution order."""
-    with telemetry.scope("fig3.point"), telemetry.tracer().span(
-        "fig3.point", kind="sweep", n_objects=n_objects,
-        locality=locality, trials=n_trials, seed=seed,
-    ):
-        sim = CSDSimulator(n_objects, seed=seed)
-        trials = sim.run_many(locality, n_trials)
-    point = _aggregate_point(n_objects, locality, trials)
     if telemetry.observer().enabled:
-        record_point_gauges(point)
+        label = point_label(n=n_objects, loc=locality)
+        telemetry.gauge(f"fig3.used_channels{label}").set(point.used_channels)
+        telemetry.gauge(f"fig3.blocked{label}").set(point.blocked)
     return point
 
 
@@ -273,24 +268,14 @@ def sweep_locality(
     localities: Sequence[float],
     n_trials: int = 10,
     seed: int = 42,
-    workers: Optional[int] = None,
 ) -> List[SimulationResult]:
-    """One averaged point per locality value — a single Figure 3 curve.
+    """One averaged point per locality value — a single Figure 3 curve,
+    run serially on the live simulator.
 
     The returned results carry the *mean* used-channel count of
     ``n_trials`` independent trials (rounded to the nearest integer for
     ``used_channels``), so curves are smooth enough to compare.
-
-    ``workers`` > 1 fans the locality points out over a process pool;
-    the output is bit-identical to the serial path (trial seeds depend
-    only on ``seed`` and the trial index).
     """
-    if workers is not None and workers > 1:
-        return pool_map(
-            _sweep_point,
-            [(n_objects, loc, n_trials, seed) for loc in localities],
-            workers,
-        )
     return [
         _sweep_point(n_objects, loc, n_trials, seed) for loc in localities
     ]
@@ -301,33 +286,17 @@ def figure3_series(
     n_trials: int = 10,
     seed: int = 42,
     n_objects_list: Sequence[int] = FIGURE3_NOBJECTS,
-    workers: Optional[int] = None,
 ) -> Dict[int, List[SimulationResult]]:
     """The full Figure 3 data set: one locality-swept curve per N.
 
     Returns ``{n_objects: [SimulationResult, ...]}`` with locality running
     from most local (left of the paper's plot) to fully random (right).
-
-    ``workers`` > 1 runs every (N, locality) point of the whole series
-    through one shared process pool, chunked by locality point, with
-    output bit-identical to the serial path.
+    This is the serial live oracle; :func:`repro.engine.run_fig3` runs
+    the same sweep on the vector kernel, optionally over a process pool,
+    with bit-identical output.
     """
     if localities is None:
-        localities = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
-    if workers is not None and workers > 1:
-        points = pool_map(
-            _sweep_point,
-            [
-                (n, loc, n_trials, seed)
-                for n in n_objects_list
-                for loc in localities
-            ],
-            workers,
-        )
-        series: Dict[int, List[SimulationResult]] = {}
-        for point in points:
-            series.setdefault(point.n_objects, []).append(point)
-        return series
+        localities = FIGURE3_LOCALITIES
     return {
         n: sweep_locality(n, localities, n_trials=n_trials, seed=seed)
         for n in n_objects_list

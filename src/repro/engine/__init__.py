@@ -1,26 +1,23 @@
-"""High-throughput batched sweep engine (shared by the fig3/faults CLIs).
+"""The sweep engine behind the fig3 and faults commands.
 
 Layers, bottom up:
 
-* :mod:`repro.engine.cache` — the bounded LRU the trial cache sits on;
-* :mod:`repro.engine.core` — :class:`SweepEngine`, the memoizing trial
-  runner: cold trials resolve on the megascale vector kernel, warm ones
-  replay their telemetry byte for byte;
-* :mod:`repro.engine.sweep` — batched, load-balanced dispatch of whole
-  sweeps (:func:`run_fig3`, :func:`run_faults`).
+* :mod:`repro.engine.core` — :class:`SweepEngine`, the trial runner:
+  a trial resolves on the megascale vector kernel and replays the
+  telemetry the live simulator would have recorded, or runs live when
+  nothing else would be byte-identical;
+* :mod:`repro.engine.sweep` — :func:`run_fig3` and :func:`run_faults`,
+  one dispatch per sweep point, serial or over a process pool.
 
-Everything here is an accelerator, never an oracle: tracing, live CSD
-faults, and anything else the replay cannot reproduce fall back to the
-live simulator, and engine output is byte-identical to the serial paths.
+The serial live sweeps (:func:`repro.csd.simulator.figure3_series`,
+:func:`repro.faults.campaign.run_campaign`) are the oracles: engine
+output is byte-identical to theirs, traced or not, at any worker count.
 """
 
-from repro.engine.cache import LRUCache, MISSING
 from repro.engine.core import SweepEngine, TrialEntry
 from repro.engine.sweep import run_faults, run_fig3
 
 __all__ = [
-    "LRUCache",
-    "MISSING",
     "SweepEngine",
     "TrialEntry",
     "run_fig3",

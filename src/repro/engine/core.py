@@ -1,55 +1,49 @@
-"""The sweep engine: memoized, replayable Figure-3 trial execution.
+"""The sweep engine's trial runner: Figure-3 trials on the vector kernel.
 
 A Figure 3 (or rate-0 fault-campaign) trial is a pure function of
 ``(n_objects, locality, trial_seed, two_source)``: the workload draws
 every request from a seeded RNG and the grant protocol is deterministic.
-The engine exploits that twice:
+So the engine resolves a trial without live channel objects: it turns
+the requests into the live loop's connect attempts
+(:func:`repro.megascale.kernel.attempt_spans`), resolves them in one
+:class:`repro.megascale.kernel.VectorCSDKernel` batch — the priority
+encoder's first-fit grant on segment bitmasks — and then *replays* the
+telemetry the live path would have recorded (attempt, grant and block
+counts).
 
-* a **cold** trial turns its requests into the live loop's connect
-  attempts (:func:`repro.megascale.kernel.attempt_spans`) and resolves
-  them in one :class:`repro.megascale.kernel.VectorCSDKernel` batch —
-  the priority encoder's first-fit grant on segment bitmasks, with no
-  live channel objects;
-* a **trial cache** holds the finished
-  :class:`~repro.csd.simulator.SimulationResult` together with the
-  telemetry the live path would have produced (attempt and blocked
-  counts), so a warm trial costs one dict lookup plus a counter
-  replay.
-
-**Byte-identity contract.**  A cached trial must be indistinguishable —
-in its result *and* in the telemetry registry — from running
-:meth:`repro.csd.simulator.CSDSimulator.run_trial` live.  The fast path
-therefore only engages when nothing order- or object-dependent would be
-recorded that the replay cannot reproduce: tracing disabled, no live CSD
-faults (``faults is None``, or a plan whose CSD-segment rate is zero and
-no quarantined CSD site — other fault kinds never touch this protocol),
-and a concrete trial seed.
-Under a retry policy the fast path additionally requires the resolved
-trial to have zero blocked requests (first-try successes leave no
-retry telemetry; a blocked request would).  Anything else falls back to
-the live simulator, unchanged.
+**Byte-identity contract.**  A resolved trial must be indistinguishable
+— in its result *and* in the telemetry registry — from running
+:meth:`repro.csd.simulator.CSDSimulator.run_trial` live.  The vector
+path therefore only engages when nothing order- or object-dependent
+would be recorded that the replay cannot reproduce: tracing disabled,
+no live CSD faults (``faults is None``, or a plan whose CSD-segment
+rate is zero and no quarantined CSD site — other fault kinds never
+touch this protocol), and a concrete trial seed.
+Under a retry policy it additionally requires the resolved trial to
+have zero blocked requests (first-try successes leave no retry
+telemetry; a blocked request would).  Anything else runs on the live
+simulator, unchanged.
 
 **Observation replays too.**  Every resolved trial keeps its *grant log*
 (``cycle, lo, hi, channel`` per granted attempt, where a cycle is one
 chaining request, exactly the live sampler's clock).  When observation is
-enabled the fast path feeds that log through
+enabled the replay feeds that log through
 :class:`repro.megascale.kernel.VectorSampler`, which re-derives the
 segment-demand / channel-occupancy heatmap columns and the used-channel
 series at the same stride the live sampler uses — byte-identical
-observation documents, cached speed.
+observation documents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
 from repro.csd.locality import LocalityWorkload
 from repro.csd.simulator import CSDSimulator, SimulationResult
-from repro.engine.cache import LRUCache, MISSING
 from repro.faults.model import FaultKind
 from repro.megascale.kernel import (
     VectorCSDKernel,
@@ -59,11 +53,6 @@ from repro.megascale.kernel import (
 from repro.telemetry.observe import point_label
 
 __all__ = ["SweepEngine", "TrialEntry"]
-
-#: Trial-cache capacity (a full Figure 3 series at 10 trials is
-#: 5 sizes x 11 localities x 10 = 550 entries; leave headroom for warm
-#: re-runs at other seeds).
-TRIAL_CAPACITY = 8_192
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,8 @@ class TrialEntry:
     channel.  ``grant_log`` holds the granted attempts as
     four parallel int64 arrays ``(cycles, lo, hi, channel)`` in grant
     order, where a cycle is one chaining request (request index + 1 —
-    the live sampler's clock); it is what makes cached observation
-    replay possible.
+    the live sampler's clock); it is what makes observation replay
+    possible.
     """
 
     result: SimulationResult
@@ -85,13 +74,7 @@ class TrialEntry:
 
 
 class SweepEngine:
-    """Memoizing trial runner shared by the fig3 and faults sweeps."""
-
-    def __init__(self) -> None:
-        self._trials = LRUCache(TRIAL_CAPACITY)
-        #: Trials served from cache (replayed) vs. run on the live path.
-        self.trials_cached = 0
-        self.trials_live = 0
+    """Trial runner shared by the fig3 and faults sweeps."""
 
     # -- resolution ---------------------------------------------------------
 
@@ -190,43 +173,36 @@ class SweepEngine:
         retry_policy=None,
         sample_series: bool = False,
     ) -> SimulationResult:
-        """Run (or replay) one trial; see the module docstring for when
-        the cached path engages.  Drop-in equivalent of
-        :meth:`CSDSimulator.run_trial` with the same arguments."""
+        """Run one trial on the vector kernel or live; see the module
+        docstring for when the vector path engages.  Drop-in equivalent
+        of :meth:`CSDSimulator.run_trial` with the same arguments."""
         # CSD-fault-freedom is per-kind, not per-plan: with the
         # CSD_SEGMENT rate at zero, FaultPlan.draw early-returns None
         # before touching any RNG and the channel filter keeps every
         # candidate without counters or ledger writes, so a plan that
         # only faults switches/links/flits still replays byte-identically.
         # A quarantined site in the CSD domain (degradation can force one
-        # faulty regardless of the plan) disables the fast path.
+        # faulty regardless of the plan) disables the vector path.
         csd_fault_free = faults is None or (
             faults.plan.rate_for(FaultKind.CSD_SEGMENT) == 0.0
             and not any(
                 site.startswith("csd/") for site in faults.quarantined_sites()
             )
         )
-        observing = telemetry.observer().enabled
-        fast = (
+        if (
             trial_seed is not None
             and not telemetry.tracer().enabled
             and csd_fault_free
-        )
-        if fast:
-            key = (n_objects, float(locality), int(trial_seed), bool(two_source))
-            entry = self._trials.get_or_miss(key)
-            if entry is MISSING:
-                with telemetry.profile_stage("engine.resolve"):
-                    entry = self._resolve_trial(
-                        n_objects, float(locality), int(trial_seed),
-                        bool(two_source),
-                    )
-                self._trials.put(key, entry)
+        ):
+            with telemetry.profile_stage("engine.resolve"):
+                entry = self._resolve_trial(
+                    n_objects, float(locality), int(trial_seed),
+                    bool(two_source),
+                )
             if retry_policy is None or not entry.result.blocked:
-                self.trials_cached += 1
                 with telemetry.profile_stage("engine.replay"):
                     self._replay(entry)
-                    if observing:
+                    if telemetry.observer().enabled:
                         self._replay_observation(
                             entry, n_objects, locality, two_source,
                             sample_series,
@@ -234,7 +210,6 @@ class SweepEngine:
                 return entry.result
             # a blocked request under a retry policy exercises backoff
             # counters the replay cannot reproduce — run it live instead
-        self.trials_live += 1
         return CSDSimulator(n_objects).run_trial(
             locality,
             trial_seed=trial_seed,
@@ -243,12 +218,3 @@ class SweepEngine:
             retry_policy=retry_policy,
             sample_series=sample_series,
         )
-
-    # -- introspection ------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "trials_cached": self.trials_cached,
-            "trials_live": self.trials_live,
-            "trial_cache": self._trials.stats(),
-        }

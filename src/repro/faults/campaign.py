@@ -20,12 +20,13 @@ protocols the faults can corrupt:
   paper's re-split response (``split_at_junction``).
 
 Every seed derives from ``(campaign seed, n_objects, rate, trial)``
-alone and point results travel with their telemetry snapshots, so the
-parallel path (``--workers N``) is **bit-identical** to the serial one —
-the same guarantee (and the same pool machinery) as
-:mod:`repro.csd.simulator`.  With ``rate=0`` the CSD aggregates are
-byte-identical to :func:`repro.csd.simulator._sweep_point` for the same
-seed: the fault layer is provably free when empty.
+alone, so a campaign point is the same wherever it runs:
+:func:`run_campaign` is the serial live oracle, and
+:func:`repro.engine.run_faults` (which the ``faults`` command runs, over
+a process pool with ``--workers N``) reproduces its report bit for bit.
+With ``rate=0`` the CSD aggregates are byte-identical to
+:func:`repro.csd.simulator._sweep_point` for the same seed: the fault
+layer is provably free when empty.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.faults.recovery import (
     with_retry,
 )
 from repro.telemetry.observe import Sampler, point_label
-from repro.telemetry.pool import pool_map
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -254,13 +254,13 @@ def run_fault_trial(
     """One Monte-Carlo trial: fresh fault universe, all three phases.
 
     ``engine`` (a :class:`repro.engine.SweepEngine`) routes the CSD
-    phase through the trial cache; the engine itself guarantees the
-    cached path only engages when it is byte-identical to the live one
-    (fault-free plan, no blocks under the retry policy).
+    phase through the vector kernel; the engine itself guarantees the
+    kernel only resolves a trial when that is byte-identical to the live
+    run (fault-free CSD domain, no blocks under the retry policy).
 
     ``csd_rate`` overrides the CSD-segment fault rate while every other
     kind keeps ``rate`` — with ``csd_rate=0.0`` the datapath phase is
-    provably fault-free and the engine's cached/vector kernels stay
+    provably fault-free and the engine's vector kernel stays
     byte-identical even at nonzero reconfiguration-fault rates.  Note
     the override is per *kind*, not per domain: chained-CSD junction
     legs draw segment faults of the same kind, so it moves with the
@@ -334,35 +334,6 @@ def _percentiles(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _capture_before() -> Tuple[Dict[str, float], int]:
-    """Snapshot the campaign counters and the recovery-histogram length
-    so a later :func:`_capture_delta` isolates one stretch of work."""
-    return (
-        {name: telemetry.counter(name).value for name in _COUNTERS},
-        len(telemetry.histogram("faults.recovery.cycles").values),
-    )
-
-
-def _capture_delta(
-    before: Tuple[Dict[str, float], int]
-) -> Tuple[Dict[str, float], List[float]]:
-    """Counter deltas and new recovery samples since ``before``.
-
-    Deltas are additive and the histogram only appends, so per-trial
-    captures summed (and slices concatenated) in trial order equal one
-    capture around the whole point — the identity the batched engine
-    path relies on."""
-    counters, hist_before = before
-    deltas = {
-        name: telemetry.counter(name).value - counters[name]
-        for name in _COUNTERS
-    }
-    recovery = list(
-        telemetry.histogram("faults.recovery.cycles").values[hist_before:]
-    )
-    return deltas, recovery
-
-
 def _aggregate_campaign_point(
     n_objects: int,
     rate: float,
@@ -373,9 +344,8 @@ def _aggregate_campaign_point(
     recovery: Sequence[float],
 ) -> Dict[str, Any]:
     """Fold one point's trial dicts (plus its telemetry capture) into
-    the report entry.  Shared verbatim by the serial path, the per-point
-    pool fan-out, and the batched engine path, so every path feeding the
-    same trials in trial order produces bit-identical entries."""
+    the report entry; the same trials in trial order always give
+    bit-identical entries."""
     csd_trials = [t["csd"] for t in trials]
     outcomes = {
         key: sum(1 for t in trials if t["reconfig"]["outcome"] == key)
@@ -414,27 +384,6 @@ def _aggregate_campaign_point(
     }
 
 
-def record_campaign_gauges(
-    n_objects: int,
-    rate: float,
-    trials: List[Dict[str, Any]],
-    recovery: Sequence[float],
-) -> None:
-    """Set one campaign point's observation gauges.
-
-    Shared by :func:`campaign_point` and the engine sweep
-    (:mod:`repro.engine.sweep`), so every path leaves the same
-    ``faults.survival`` / ``faults.recovery_p95`` gauge state (one
-    update per point) behind."""
-    label = point_label(n=n_objects, rate=rate)
-    telemetry.gauge(f"faults.survival{label}").set(
-        float(np.mean([1.0 if t["survived"] else 0.0 for t in trials]))
-    )
-    telemetry.gauge(f"faults.recovery_p95{label}").set(
-        _percentiles(recovery)["p95"]
-    )
-
-
 def campaign_point(
     n_objects: int,
     rate: float,
@@ -449,13 +398,16 @@ def campaign_point(
 
     The returned dict is JSON-safe (ints, floats, strings only — no
     process-dependent ids, no timestamps), which is what makes the
-    serial and parallel reports byte-comparable.
+    serial and parallel reports byte-comparable.  Its ``counters`` are
+    the campaign counters' deltas over the point's trials.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("fault rate must be in [0, 1]")
-    before = _capture_before()
+    counters_before = {name: telemetry.counter(name).value for name in _COUNTERS}
+    recovery_hist = telemetry.histogram("faults.recovery.cycles")
+    hist_before = len(recovery_hist.values)
     with telemetry.scope("faults.point"), telemetry.tracer().span(
         "faults.point", kind="campaign", n_objects=n_objects,
         rate=rate, trials=n_trials, seed=seed,
@@ -467,71 +419,53 @@ def campaign_point(
             )
             for t in range(n_trials)
         ]
-    deltas, recovery = _capture_delta(before)
-    if telemetry.observer().enabled:
-        record_campaign_gauges(n_objects, rate, trials, recovery)
-    return _aggregate_campaign_point(
+    deltas = {
+        name: telemetry.counter(name).value - counters_before[name]
+        for name in _COUNTERS
+    }
+    recovery = list(recovery_hist.values[hist_before:])
+    point = _aggregate_campaign_point(
         n_objects, rate, n_trials, locality, trials, deltas, recovery
     )
+    if telemetry.observer().enabled:
+        label = point_label(n=n_objects, rate=rate)
+        telemetry.gauge(f"faults.survival{label}").set(point["survival"])
+        telemetry.gauge(f"faults.recovery_p95{label}").set(
+            point["recovery_cycles"]["p95"]
+        )
+    return point
 
 
-# -- campaign sweep (serial and process-pool paths) -------------------------
+# -- campaign sweep -----------------------------------------------------------
 
 
-def _check_rates(rates: Sequence[float], csd_rate: Optional[float]) -> None:
-    """Reject a swept rate or ``csd_rate`` outside [0, 1], NaN included,
-    before any trial runs (in this process, not in a pool worker)."""
+def _check_campaign(
+    rates: Sequence[float],
+    n_objects_list: Sequence[int],
+    csd_rate: Optional[float],
+) -> None:
+    """Reject an empty sweep, or a swept rate or ``csd_rate`` outside
+    [0, 1] (NaN included), before any trial runs."""
+    if not rates:
+        raise ValueError("need at least one fault rate")
+    if not n_objects_list:
+        raise ValueError("need at least one array size")
     checked = list(rates) if csd_rate is None else [*rates, csd_rate]
     if any(not 0.0 <= r <= 1.0 for r in checked):
         raise ValueError("fault rate must be in [0, 1]")
 
 
-def run_campaign(
+def _campaign_report(
+    points: List[Dict[str, Any]],
     rates: Sequence[float],
-    n_objects_list: Sequence[int] = (16, 32, 64),
-    n_trials: int = 8,
-    seed: int = 42,
-    policy: RetryPolicy = DEFAULT_POLICY,
-    locality: float = _LOCALITY,
-    workers: Optional[int] = None,
-    csd_rate: Optional[float] = None,
+    n_objects_list: Sequence[int],
+    n_trials: int,
+    seed: int,
+    policy: RetryPolicy,
+    locality: float,
+    csd_rate: Optional[float],
 ) -> Dict[str, Any]:
-    """The full sweep: one point per (rate, n_objects), rate-major order.
-
-    ``workers`` > 1 fans the points out over a process pool with worker
-    telemetry snapshots folded back in — the report (and the registry)
-    is bit-identical to the serial path.
-
-    ``csd_rate``, when given, pins the CSD-segment fault rate at that
-    value across the whole sweep while ``rates`` continues to drive
-    every other fault kind (see :func:`run_fault_trial`); the override
-    is recorded in the report under ``"csd_rate"``.
-    """
-    if not rates:
-        raise ValueError("need at least one fault rate")
-    if not n_objects_list:
-        raise ValueError("need at least one array size")
-    _check_rates(rates, csd_rate)
-    grid = [(n, r) for r in rates for n in n_objects_list]
-    points: List[Dict[str, Any]]
-    if workers is not None and workers > 1:
-        points = pool_map(
-            campaign_point,
-            [
-                # campaign_point's positional order; engine=None
-                (n, r, n_trials, seed, policy, locality, None, csd_rate)
-                for n, r in grid
-            ],
-            workers,
-        )
-    else:
-        points = [
-            campaign_point(
-                n, r, n_trials, seed, policy=policy, locality=locality,
-                csd_rate=csd_rate,
-            )
-            for n, r in grid
-        ]
+    """The campaign report around its points, for every sweep path."""
     report: Dict[str, Any] = {
         "schema": CAMPAIGN_SCHEMA,
         "seed": seed,
@@ -549,6 +483,42 @@ def run_campaign(
     if csd_rate is not None:
         report["csd_rate"] = float(csd_rate)
     return report
+
+
+def run_campaign(
+    rates: Sequence[float],
+    n_objects_list: Sequence[int] = (16, 32, 64),
+    n_trials: int = 8,
+    seed: int = 42,
+    policy: RetryPolicy = DEFAULT_POLICY,
+    locality: float = _LOCALITY,
+    csd_rate: Optional[float] = None,
+) -> Dict[str, Any]:
+    """The full sweep: one point per (rate, n_objects), rate-major order,
+    run serially on the live simulators.
+
+    This is the campaign's oracle; :func:`repro.engine.run_faults` runs
+    the same sweep with its CSD phases on the vector kernel, optionally
+    over a process pool, and writes a byte-identical report.
+
+    ``csd_rate``, when given, pins the CSD-segment fault rate at that
+    value across the whole sweep while ``rates`` continues to drive
+    every other fault kind (see :func:`run_fault_trial`); the override
+    is recorded in the report under ``"csd_rate"``.
+    """
+    _check_campaign(rates, n_objects_list, csd_rate)
+    points = [
+        campaign_point(
+            n, r, n_trials, seed, policy=policy, locality=locality,
+            csd_rate=csd_rate,
+        )
+        for r in rates
+        for n in n_objects_list
+    ]
+    return _campaign_report(
+        points, rates, n_objects_list, n_trials, seed, policy, locality,
+        csd_rate,
+    )
 
 
 def report_json(report: Dict[str, Any]) -> str:

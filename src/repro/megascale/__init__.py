@@ -1,14 +1,14 @@
 """Mega-scale (N = 1024-4096) vectorized kernels.
 
 The paper's Figure 3 stops at N = 256; pushing the same experiments an
-order of magnitude further needs the protocol cold path off Python
-object graphs and onto machine words, flat arrays and closed-form
-schedules.  This package holds:
+order of magnitude further needs the protocol's trial resolution off
+Python object graphs and onto machine words, flat arrays and
+closed-form schedules.  This package holds:
 
 * :mod:`repro.megascale.kernel` — the CSD protocol's first-fit grant on
-  per-channel segment bitmasks (:class:`VectorCSDKernel`), the engine's
-  cold path, and the grant-log replay of the live sampler's probes
-  (:class:`~repro.megascale.kernel.VectorSampler`);
+  per-channel segment bitmasks (:class:`VectorCSDKernel`), which
+  resolves the sweep engine's trials, and the grant-log replay of the
+  live sampler's probes (:class:`~repro.megascale.kernel.VectorSampler`);
 * :mod:`repro.megascale.noc_kernel` — the closed-form schedule of a
   solo configuration worm (pure math, consulted by the router network's
   express delivery path);

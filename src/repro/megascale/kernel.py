@@ -23,8 +23,8 @@ machine words instead:
   incomplete tail: an N=1024, locality-0 trial reads about 10k masks,
   against 161k for a first-fit scan of every used channel.
 
-:class:`VectorCSDKernel` is that first-fit machine, the sweep engine's
-only cold path (one :meth:`~VectorCSDKernel.grant_many` per trial);
+:class:`VectorCSDKernel` is that first-fit machine, which resolves
+every sweep-engine trial (one :meth:`~VectorCSDKernel.grant_many` each);
 :func:`attempt_spans` turns a trial's requests into its connect
 attempts, and :class:`VectorSampler` re-derives the live sampler's
 probes from the resulting grant log.  The hypothesis properties in

@@ -2,7 +2,7 @@
 
 ``record_baseline`` runs a small canonical configuration of one of the
 headline benches (the Figure 3 sweep, the fault campaign, the sweep
-engine's warm-vs-cold speedup) and captures two kinds of numbers:
+engine's speedup over the live sweep) and captures two kinds of numbers:
 
 * **deterministic** metrics — used/blocked channel counts, survival
   fractions, p95 recovery latency *in simulated cycles*.  These derive
@@ -17,12 +17,14 @@ engine's warm-vs-cold speedup) and captures two kinds of numbers:
   slowdowns.
 
 The ``engine`` bench is special: it runs the Figure 3 configuration
-twice on one :class:`repro.engine.SweepEngine` — cold, then warm — plus
-once on the legacy serial path.  Its deterministic metrics include two
-identity bits (warm == cold, engine == legacy) so a byte-identity break
-fails the guard even under ``--skip-wallclock``; its wall-clock section
-carries ``cold_s`` / ``warm_s`` / ``speedup``, and the guard requires
-the warm run to be at least ``2x`` faster unless wall-clock checks are
+once on the live serial sweep (:func:`repro.csd.simulator.figure3_series`)
+and three times on the engine (:func:`repro.engine.run_fig3`, a fresh,
+cold engine each run; the fastest counts).  Its
+deterministic metrics include an identity bit (engine == live) so a
+byte-identity break fails the guard even under ``--skip-wallclock``;
+its wall-clock section carries ``live_s`` / ``cold_s`` /
+``cold_speedup``, and the guard requires the cold engine run to be at
+least ``10x`` faster than the live one unless wall-clock checks are
 skipped.
 
 The ``megascale`` bench guards the vector CSD kernel the same way:
@@ -92,8 +94,8 @@ BENCHES: Dict[str, Dict[str, Any]] = {
         "n_trials": 3,
         "seed": 42,
     },
-    # the sweep engine's acceptance configuration: the N=256 sweep must
-    # run >=2x faster warm than cold
+    # the sweep engine's acceptance configuration: the cold engine must
+    # run the N=256 sweep >=10x faster than the live serial sweep
     "engine": {
         "n_objects": [256],
         "localities": [1.0, 0.5, 0.0],
@@ -177,8 +179,8 @@ _LATENCY_MARKER = "recovery_p95"
 #: baseline still has a meaningful threshold.
 _LATENCY_SLACK_CYCLES = 2.0
 
-#: Minimum warm-over-cold speedup the engine bench must sustain.
-_ENGINE_MIN_SPEEDUP = 2.0
+#: Minimum live-over-cold-engine speedup the engine bench must sustain.
+_ENGINE_MIN_SPEEDUP = 10.0
 
 #: Minimum live-over-vector protocol-resolution speedup the megascale
 #: bench must sustain at its acceptance size (N=256).
@@ -231,7 +233,7 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
             n_points += 1
     elif bench == "engine":
         from repro.csd.simulator import figure3_series
-        from repro.engine import SweepEngine, run_fig3
+        from repro.engine import run_fig3
 
         kwargs = dict(
             localities=list(config["localities"]),
@@ -239,14 +241,17 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
             seed=int(config["seed"]),
             n_objects_list=list(config["n_objects"]),
         )
-        engine = SweepEngine()
         start = time.perf_counter()
-        cold = run_fig3(engine=engine, **kwargs)
-        cold_s = max(time.perf_counter() - start, 1e-9)
-        start = time.perf_counter()
-        warm = run_fig3(engine=engine, **kwargs)
-        warm_s = max(time.perf_counter() - start, 1e-9)
         legacy = figure3_series(**kwargs)
+        live_s = max(time.perf_counter() - start, 1e-9)
+        # every run_fig3 call starts a fresh engine, so each run is
+        # cold; the best of three keeps a ~50 ms run clear of one
+        # scheduling stall
+        cold_s = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            cold = run_fig3(**kwargs)
+            cold_s = min(cold_s, max(time.perf_counter() - start, 1e-9))
         deterministic = {}
         n_points = 0
         for n, points in sorted(cold.items()):
@@ -257,15 +262,14 @@ def measure_bench(bench: str, config: Dict[str, Any]) -> Dict[str, Any]:
                 )
                 deterministic[f"engine.blocked{label}"] = float(point.blocked)
                 n_points += 1
-        # identity bits: a byte-identity break trips the deterministic
+        # identity bit: a byte-identity break trips the deterministic
         # guard even when wall-clock checks are skipped
-        deterministic["engine.identical_warm"] = float(warm == cold)
         deterministic["engine.identical_legacy"] = float(legacy == cold)
-        elapsed = cold_s + warm_s
+        elapsed = cold_s
         wallclock_extra = {
+            "live_s": live_s,
             "cold_s": cold_s,
-            "warm_s": warm_s,
-            "speedup": cold_s / warm_s,
+            "cold_speedup": live_s / cold_s,
         }
     elif bench == "service":
         from repro.service import (
@@ -573,11 +577,12 @@ def check_baseline(
                 f"throughput: {got_tp:.2f} points/s is more than "
                 f"{throughput_tolerance:.0%} below baseline {base_tp:.2f}"
             )
-        got_speedup = measured.get("wallclock", {}).get("speedup")
+        got_speedup = measured.get("wallclock", {}).get("cold_speedup")
         if got_speedup is not None and float(got_speedup) < _ENGINE_MIN_SPEEDUP:
             regressions.append(
-                f"engine speedup: warm run only {float(got_speedup):.2f}x "
-                f"faster than cold (floor {_ENGINE_MIN_SPEEDUP:g}x)"
+                f"engine speedup: cold engine run only "
+                f"{float(got_speedup):.2f}x faster than the live sweep "
+                f"(floor {_ENGINE_MIN_SPEEDUP:g}x)"
             )
         got_kernel = measured.get("wallclock", {}).get("kernel_speedup")
         if got_kernel is not None and float(got_kernel) < _MEGASCALE_MIN_SPEEDUP:

@@ -9,17 +9,12 @@ rendering) is canonical:
   keys, and forked pool workers inherit the parent's names — without
   elision a parallel run would expose ghost families a fresh serial
   process lacks);
-* engine bookkeeping (``engine.*``) is elided: it describes *how* a run
-  executed (cache hits, batch latencies), not what the fabric did, and
-  it would break the byte-identity of ``--engine`` bundles against live
-  ones.  The self-profiling families (``profile.*``) stay — they are a
-  deliberate observability product with their own report;
 * wall-clock timer seconds are excluded (only call counts travel), so
   two runs of the same seed compare byte-for-byte no matter the host;
 * families, samples and cells are sorted on stable keys.
 
 These rules are what make ``--observe`` output byte-identical between
-a serial sweep, a ``--workers N`` one, and an ``--engine`` one.
+a serial sweep, a ``--workers N`` one, and the serial live oracle.
 
 The renderings are also *lossless*: :func:`reconstruct_observation`
 rebuilds the exact document from the OpenMetrics text plus the two
@@ -214,12 +209,6 @@ def _hist_stats(values: List[float]) -> Dict[str, float]:
     }
 
 
-def _visible(name: str) -> bool:
-    """Engine bookkeeping never reaches an observation document (see the
-    module docstring); everything else — including ``profile.*`` — does."""
-    return not name.startswith("engine.")
-
-
 def observation_document(
     snapshot: Dict[str, Any], title: str = "observation"
 ) -> Dict[str, Any]:
@@ -228,17 +217,17 @@ def observation_document(
     counters = {
         name: value
         for name, value in sorted(snapshot.get("counters", {}).items())
-        if value and _visible(name)
+        if value
     }
     timers = {
         name: {"calls": stats["calls"]}
         for name, stats in sorted(snapshot.get("timers", {}).items())
-        if stats.get("calls") and _visible(name)
+        if stats.get("calls")
     }
     histograms = {
         name: _hist_stats(values)
         for name, values in sorted(snapshot.get("histograms", {}).items())
-        if values and _visible(name)
+        if values
     }
     gauges = {
         name: {
@@ -246,7 +235,7 @@ def observation_document(
             "updates": int(state.get("updates", 0)),
         }
         for name, state in sorted(snapshot.get("gauges", {}).items())
-        if state.get("updates") and _visible(name)
+        if state.get("updates")
     }
     series = {
         name: {
@@ -254,7 +243,7 @@ def observation_document(
             "dropped": int(state.get("dropped", 0)),
         }
         for name, state in sorted(snapshot.get("series", {}).items())
-        if state.get("samples") and _visible(name)
+        if state.get("samples")
     }
     heatmaps = {
         name: {
@@ -264,7 +253,7 @@ def observation_document(
             "dropped": int(state.get("dropped", 0)),
         }
         for name, state in sorted(snapshot.get("heatmaps", {}).items())
-        if state.get("cells") and _visible(name)
+        if state.get("cells")
     }
     return {
         "schema": OBSERVE_SCHEMA,

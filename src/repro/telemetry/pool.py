@@ -1,7 +1,7 @@
 """Process-pool fan-out that loses no telemetry.
 
-Every parallel sweep (the Figure 3 series, the fault campaign, and the
-engine's batched dispatch of both) has the same needs: run a picklable
+Both parallel sweeps (the engine's Figure 3 series and fault campaign,
+one task per sweep point) have the same needs: run a picklable
 module-level function over a list of argument tuples in worker
 processes, get the results back in task order, and leave the parent's
 registry exactly as a serial run would.  :func:`pool_map` is that one

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.errors import ChannelAllocationError
 from repro.csd.channels import Channel, ChannelPool, Span
 from repro.csd.simulator import sweep_locality
+from repro.engine import run_fig3
 
 N_SEGMENTS = 12
 
@@ -113,5 +114,7 @@ def test_used_channel_count_never_exceeds_pool_size(ops, n_channels):
 def test_sweep_locality_serial_equals_parallel(seed, locality):
     localities = [locality, 0.2]
     serial = sweep_locality(16, localities, n_trials=2, seed=seed)
-    parallel = sweep_locality(16, localities, n_trials=2, seed=seed, workers=2)
-    assert serial == parallel
+    parallel = run_fig3(
+        localities, n_trials=2, seed=seed, n_objects_list=[16], workers=2
+    )
+    assert parallel == {16: serial}

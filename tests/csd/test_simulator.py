@@ -9,6 +9,7 @@ from repro.csd.simulator import (
     figure3_series,
     sweep_locality,
 )
+from repro.engine import run_fig3
 
 
 class TestSingleTrial:
@@ -109,13 +110,16 @@ class TestFigure3Series:
 
 
 class TestParallelSweep:
-    """The ``workers=`` fan-out must be bit-identical to the serial path."""
+    """The engine sweep's ``workers=`` fan-out must be bit-identical to
+    the serial live sweeps."""
 
     def test_sweep_locality_parallel_matches_serial(self):
         localities = [1.0, 0.6, 0.2, 0.0]
         serial = sweep_locality(32, localities, n_trials=4, seed=11)
-        parallel = sweep_locality(32, localities, n_trials=4, seed=11, workers=2)
-        assert serial == parallel
+        parallel = run_fig3(
+            localities, n_trials=4, seed=11, n_objects_list=[32], workers=2
+        )
+        assert parallel == {32: serial}
 
     def test_figure3_series_parallel_matches_serial(self):
         kwargs = dict(
@@ -123,19 +127,26 @@ class TestParallelSweep:
             n_objects_list=(16, 32),
         )
         serial = figure3_series(**kwargs)
-        parallel = figure3_series(workers=2, **kwargs)
+        parallel = run_fig3(workers=2, **kwargs)
         assert serial == parallel
 
-    def test_workers_one_stays_serial(self):
+    def test_workers_one_stays_serial(self, monkeypatch):
+        import repro.engine.sweep
+
+        def no_pool(*args):
+            raise AssertionError("workers=1 started a process pool")
+
+        monkeypatch.setattr(repro.engine.sweep, "pool_map", no_pool)
         localities = [0.5, 0.0]
-        assert sweep_locality(16, localities, n_trials=2, workers=1) == \
-            sweep_locality(16, localities, n_trials=2)
+        assert run_fig3(
+            localities, n_trials=2, n_objects_list=[16], workers=1
+        ) == {16: sweep_locality(16, localities, n_trials=2)}
 
     def test_parallel_sweep_merges_worker_telemetry(self):
         from repro import telemetry
 
         telemetry.reset()
-        sweep_locality(16, [0.5, 0.0], n_trials=2, seed=3, workers=2)
+        run_fig3([0.5, 0.0], n_trials=2, seed=3, n_objects_list=[16], workers=2)
         snap = telemetry.snapshot()
         # 2 points x 2 trials x 15 requests, counted in the workers and
         # folded back into this process's registry

@@ -1,5 +1,6 @@
-"""SweepEngine: a cached trial must be indistinguishable from a live one
-— same result object, same counters, same timer calls."""
+"""SweepEngine: a vector-kernel trial must be indistinguishable from a
+live one — same result object, same counters, same timer calls — and
+anything the replay cannot reproduce must run live."""
 
 import dataclasses
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.csd.simulator import CSDSimulator
-from repro.engine import SweepEngine, TrialEntry
+from repro.engine import SweepEngine
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultPlan
 from repro.faults.recovery import DEFAULT_POLICY
@@ -23,6 +24,28 @@ def _clean():
 GRID = [(8, 0.0), (16, 0.5), (16, 1.0), (32, 0.3)]
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """Record which path each trial took: ``"vector"`` when the engine
+    resolved it on the kernel and replayed it, ``"live"`` when it ran on
+    :class:`CSDSimulator`."""
+    taken = []
+    resolve = SweepEngine._resolve_trial
+    run_trial = CSDSimulator.run_trial
+
+    def vector(*args, **kwargs):
+        taken.append("vector")
+        return resolve(*args, **kwargs)
+
+    def live(self, *args, **kwargs):
+        taken.append("live")
+        return run_trial(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepEngine, "_resolve_trial", staticmethod(vector))
+    monkeypatch.setattr(CSDSimulator, "run_trial", live)
+    return taken
+
+
 def _signature():
     """Everything a trial writes into the registry, minus wall time."""
     snap = telemetry.snapshot()
@@ -33,18 +56,22 @@ def _signature():
 
 
 class TestResultIdentity:
-    def test_cold_trial_matches_live(self):
+    def test_cold_trial_matches_live(self, paths):
         engine = SweepEngine()
         for n, loc in GRID:
             telemetry.reset()
             live = CSDSimulator(n).run_trial(loc, trial_seed=7)
             live_sig = _signature()
             telemetry.reset()
-            cached = engine.run_csd_trial(n, loc, 7)
-            assert cached == live
+            paths.clear()
+            vector = engine.run_csd_trial(n, loc, 7)
+            assert paths == ["vector"]
+            assert vector == live
             assert _signature() == live_sig
 
     def test_warm_replay_matches_cold(self):
+        """An engine carries nothing from one trial to the next: a trial
+        re-run on the same engine reproduces its result and telemetry."""
         engine = SweepEngine()
         telemetry.reset()
         cold = engine.run_csd_trial(16, 0.5, 7)
@@ -53,15 +80,15 @@ class TestResultIdentity:
         warm = engine.run_csd_trial(16, 0.5, 7)
         assert warm == cold
         assert _signature() == cold_sig
-        assert engine.trials_cached == 2
-        assert engine.stats()["trial_cache"]["hits"] == 1
 
-    def test_two_source_is_part_of_the_key(self):
+    def test_two_source_is_part_of_the_key(self, paths):
+        """``two_source`` changes the trial: the vector path resolves it
+        on 2N channels, exactly like the live two-source model."""
         engine = SweepEngine()
         one = engine.run_csd_trial(16, 0.5, 7)
         two = engine.run_csd_trial(16, 0.5, 7, two_source=True)
+        assert paths == ["vector", "vector"]
         assert two != one
-        assert engine.stats()["trial_cache"]["size"] == 2
         live = CSDSimulator(16).run_trial(0.5, trial_seed=7, two_source=True)
         assert two == live
 
@@ -69,91 +96,94 @@ class TestResultIdentity:
 class TestFastPathGates:
     """Anything the replay cannot reproduce must run live, unchanged."""
 
-    def test_no_seed_runs_live(self):
-        engine = SweepEngine()
-        engine.run_csd_trial(16, 0.5, None)
-        assert engine.trials_live == 1 and engine.trials_cached == 0
+    def test_no_seed_runs_live(self, paths):
+        SweepEngine().run_csd_trial(16, 0.5, None)
+        assert paths == ["live"]
 
-    def test_tracing_runs_live(self):
+    def test_tracing_runs_live(self, paths):
         engine = SweepEngine()
         telemetry.enable_tracing()
         try:
             result = engine.run_csd_trial(16, 0.5, 7)
         finally:
             telemetry.enable_tracing(False)
-        assert engine.trials_live == 1
+        assert paths == ["live"]
         assert result == CSDSimulator(16).run_trial(0.5, trial_seed=7)
 
-    def test_observation_replays_from_cache(self):
-        """Observation no longer forces the live path: the grant log
+    def test_observation_replays_from_cache(self, paths):
+        """Observation does not force the live path: the grant log
         replays the sampled heatmaps/series byte-for-byte (see
         tests/megascale/test_vector_observation.py for the lockstep
-        property), so an observed warm trial stays cached."""
+        property), so an observed trial stays on the vector kernel."""
         engine = SweepEngine()
-        telemetry.enable_observation()
-        try:
+        snaps = []
+        for run in (
+            lambda: CSDSimulator(16).run_trial(
+                0.5, trial_seed=7, sample_series=True
+            ),
+            lambda: engine.run_csd_trial(16, 0.5, 7, sample_series=True),
+        ):
             telemetry.reset()
             telemetry.enable_observation()
-            engine.run_csd_trial(16, 0.5, 7, sample_series=True)
-            cold = telemetry.snapshot()
-            telemetry.reset()
-            telemetry.enable_observation()
-            engine.run_csd_trial(16, 0.5, 7, sample_series=True)
-            warm = telemetry.snapshot()
-        finally:
-            telemetry.enable_observation(False)
-        assert engine.trials_cached == 2 and engine.trials_live == 0
+            try:
+                run()
+            finally:
+                telemetry.enable_observation(False)
+            snaps.append(telemetry.snapshot())
+        live, vector = snaps
+        assert paths == ["live", "vector"]
         for section in ("heatmaps", "series", "gauges", "counters"):
-            assert warm[section] == cold[section]
+            assert vector[section] == live[section]
 
-    def test_active_fault_plan_runs_live(self):
+    def test_active_fault_plan_runs_live(self, paths):
         engine = SweepEngine()
         injector = FaultInjector(FaultPlan.uniform(seed=3, rate=0.2))
         live = CSDSimulator(16).run_trial(
             0.5, trial_seed=7,
             faults=FaultInjector(FaultPlan.uniform(seed=3, rate=0.2)),
         )
+        paths.clear()
         assert engine.run_csd_trial(16, 0.5, 7, faults=injector) == live
-        assert engine.trials_live == 1
+        assert paths == ["live"]
 
-    def test_fault_free_plan_uses_cache(self):
+    def test_fault_free_plan_uses_cache(self, paths):
+        """A plan with no CSD-segment faults keeps the vector path."""
         engine = SweepEngine()
         injector = FaultInjector(FaultPlan.none())
-        cached = engine.run_csd_trial(16, 0.5, 7, faults=injector)
-        assert engine.trials_cached == 1
-        assert cached == CSDSimulator(16).run_trial(0.5, trial_seed=7)
+        vector = engine.run_csd_trial(16, 0.5, 7, faults=injector)
+        assert paths == ["vector"]
+        assert vector == CSDSimulator(16).run_trial(0.5, trial_seed=7)
 
-    def test_retry_policy_without_blocks_uses_cache(self):
+    def test_retry_policy_without_blocks_uses_cache(self, paths):
         # locality 1.0 chains neighbours only: nothing ever blocks, so
-        # the retry policy leaves no telemetry and the cache is safe
+        # the retry policy leaves no telemetry and the vector path is safe
         engine = SweepEngine()
-        cached = engine.run_csd_trial(16, 1.0, 7, retry_policy=DEFAULT_POLICY)
-        assert engine.trials_cached == 1
+        vector = engine.run_csd_trial(16, 1.0, 7, retry_policy=DEFAULT_POLICY)
+        assert paths == ["vector"]
         live = CSDSimulator(16).run_trial(
             1.0, trial_seed=7, retry_policy=DEFAULT_POLICY
         )
-        assert cached == live
+        assert vector == live
 
-    def test_retry_policy_with_blocks_runs_live(self):
-        """Figure-3 provisioning never actually blocks, so plant a
-        synthetic cache entry carrying a blocked attempt and check the
-        gate: under a retry policy the replay (which cannot reproduce
-        backoff telemetry) must be bypassed in favour of a live run."""
+    def test_retry_policy_with_blocks_runs_live(self, monkeypatch):
+        """Figure-3 provisioning never actually blocks, so make the
+        resolver report a blocked attempt and check the gate: under a
+        retry policy the replay (which cannot reproduce backoff
+        telemetry) must be bypassed in favour of a live run."""
+        resolve = SweepEngine._resolve_trial
+
+        def blocked(*args):
+            entry = resolve(*args)
+            return dataclasses.replace(
+                entry, result=dataclasses.replace(entry.result, blocked=1)
+            )
+
+        monkeypatch.setattr(SweepEngine, "_resolve_trial", staticmethod(blocked))
         engine = SweepEngine()
-        engine.run_csd_trial(16, 0.5, 7)  # resolve the real entry
-        key = (16, 0.5, 7, False)
-        entry = engine._trials.get(key)
-        planted = TrialEntry(
-            dataclasses.replace(entry.result, blocked=1),
-            entry.attempts,
-            entry.grant_log,
-        )
-        engine._trials.put(key, planted)
-        live_before = engine.trials_live
         result = engine.run_csd_trial(16, 0.5, 7, retry_policy=DEFAULT_POLICY)
-        assert engine.trials_live == live_before + 1
+        assert result.blocked == 0  # the live run, not the planted entry
         assert result == CSDSimulator(16).run_trial(
             0.5, trial_seed=7, retry_policy=DEFAULT_POLICY
         )
         # without a retry policy the planted entry still replays
-        assert engine.run_csd_trial(16, 0.5, 7) == planted.result
+        assert engine.run_csd_trial(16, 0.5, 7).blocked == 1

@@ -1,9 +1,14 @@
 """Whole-sweep identity: the engine entry points must reproduce the
-legacy serial sweeps byte for byte — results, report JSON, and registry
-— in serial, warm, and batched-parallel modes."""
+live serial sweeps byte for byte — results, report JSON, and registry
+— serially, on a rerun in the same process, and over a process pool."""
+
+import inspect
 
 import pytest
 
+import repro.engine
+import repro.engine.core
+import repro.faults.campaign as campaign
 from repro import telemetry
 from repro.csd.simulator import figure3_series
 from repro.engine import SweepEngine, run_faults, run_fig3
@@ -22,19 +27,12 @@ def _clean():
 
 
 def _registry_signature():
-    """Counters/events/timer-calls, minus wall time and the engine's own
-    effectiveness metrics (which the legacy path by definition lacks)."""
+    """Counters, timer calls and histograms — everything but wall time."""
     snap = telemetry.snapshot()
     return (
-        {
-            k: v for k, v in snap.get("counters", {}).items()
-            if not k.startswith("engine.")
-        },
+        snap.get("counters", {}),
         {k: v["calls"] for k, v in snap.get("timers", {}).items()},
-        {
-            k: v for k, v in snap.get("histograms", {}).items()
-            if not k.startswith("engine.")
-        },
+        snap.get("histograms", {}),
     )
 
 
@@ -56,11 +54,12 @@ class TestFig3Identity:
         assert _registry_signature() == sig
 
     def test_warm_rerun_matches_cold(self):
+        """A second sweep in the same process reproduces the first: no
+        state leaks from one run into the next."""
         series, sig = self._legacy()
-        engine = SweepEngine()
         kwargs = dict(
             localities=LOCALITIES, n_trials=4, seed=42,
-            n_objects_list=N_OBJECTS, engine=engine,
+            n_objects_list=N_OBJECTS,
         )
         telemetry.reset()
         cold = run_fig3(**kwargs)
@@ -68,9 +67,9 @@ class TestFig3Identity:
         warm = run_fig3(**kwargs)
         assert cold == warm == series
         assert _registry_signature() == sig
-        assert engine.trials_live == 0  # every trial resolved or replayed
 
     def test_batched_parallel_matches_legacy(self):
+        """One pool task per (N, locality) point at ``workers=2``."""
         series, sig = self._legacy()
         telemetry.reset()
         got = run_fig3(
@@ -81,18 +80,26 @@ class TestFig3Identity:
         assert _registry_signature() == sig
 
     def test_instrumented_run_delegates_to_legacy(self):
-        series, _ = self._legacy()
-        telemetry.reset()
-        telemetry.enable_tracing()
-        try:
-            got = run_fig3(
-                localities=LOCALITIES, n_trials=4, seed=42,
-                n_objects_list=N_OBJECTS,
+        """Under tracing every trial runs on the live simulator, so the
+        traced engine sweep records the live sweep's spans."""
+        kwargs = dict(
+            localities=LOCALITIES, n_trials=4, seed=42,
+            n_objects_list=N_OBJECTS,
+        )
+        spans = []
+        for sweep in (figure3_series, run_fig3):
+            telemetry.reset()
+            telemetry.enable_tracing()
+            try:
+                got = sweep(**kwargs)
+            finally:
+                telemetry.enable_tracing(False)
+            spans.append(
+                [(s.name, s.attrs) for s in telemetry.tracer().spans]
             )
-        finally:
-            telemetry.enable_tracing(False)
-        assert got == series
-        assert len(telemetry.tracer().spans) > 0  # spans were recorded
+        assert got == self._legacy()[0]
+        assert spans[0]  # spans were recorded
+        assert spans[1] == spans[0]
 
 
 class TestVectorKernelIdentity:
@@ -171,18 +178,17 @@ class TestFaultsIdentity:
         assert _registry_signature() == sig
 
     def test_warm_rerun_matches_cold(self):
-        _, legacy_json, _ = self._legacy()
-        engine = SweepEngine()
+        """A second campaign in the same process reproduces the first."""
+        _, legacy_json, sig = self._legacy()
         telemetry.reset()
-        cold = run_faults(RATES, engine=engine, **self.KW)
+        cold = run_faults(RATES, **self.KW)
         telemetry.reset()
-        warm = run_faults(RATES, engine=engine, **self.KW)
+        warm = run_faults(RATES, **self.KW)
         assert report_json(cold) == report_json(warm) == legacy_json
-        # rate-0 trials replay from cache; faulty trials must stay live
-        assert engine.trials_cached > 0
-        assert engine.trials_live > 0
+        assert _registry_signature() == sig
 
     def test_batched_parallel_matches_legacy(self):
+        """One pool task per (N, rate) point at ``workers=2``."""
         _, legacy_json, sig = self._legacy()
         telemetry.reset()
         got = run_faults(RATES, workers=2, **self.KW)
@@ -190,7 +196,7 @@ class TestFaultsIdentity:
         assert _registry_signature() == sig
 
     def test_validates_arguments_like_legacy(self):
-        """Bad arguments raise ValueError up front, serial and batched
+        """Bad arguments raise ValueError up front, serial and parallel
         alike — never a numpy or IndexError from inside the dispatch."""
         bad_faults = [
             dict(rates=[], n_objects_list=N_OBJECTS, n_trials=3),
@@ -206,16 +212,55 @@ class TestFaultsIdentity:
             dict(n_objects_list=N_OBJECTS, n_trials=0),
             dict(n_objects_list=[1], n_trials=3),
         ]
+        for kwargs in bad_faults:
+            with pytest.raises(ValueError):
+                run_campaign(seed=42, **kwargs)
+        for kwargs in bad_fig3:
+            with pytest.raises(ValueError):
+                figure3_series(LOCALITIES, seed=42, **kwargs)
         for workers in (None, 2):
             for kwargs in bad_faults:
-                with pytest.raises(ValueError):
-                    run_campaign(seed=42, workers=workers, **kwargs)
                 with pytest.raises(ValueError):
                     run_faults(seed=42, workers=workers, **kwargs)
             for kwargs in bad_fig3:
                 with pytest.raises(ValueError):
-                    figure3_series(
-                        LOCALITIES, seed=42, workers=workers, **kwargs
-                    )
-                with pytest.raises(ValueError):
                     run_fig3(LOCALITIES, seed=42, workers=workers, **kwargs)
+
+
+class TestOpBoundaries:
+    """The per-trial calls an external harness times by swapping a class
+    or module attribute for a counting wrapper: each sweep must reach
+    its trials through that attribute, with the same call shape."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, attr):
+        calls = []
+        original = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_fig3_trials_go_through_run_csd_trial(self, monkeypatch):
+        calls = self._count(monkeypatch, SweepEngine, "run_csd_trial")
+        run_fig3(n_trials=2, n_objects_list=(16,))
+        assert len(calls) == 22  # 11 default localities x 2 trials
+        for args, _ in calls:
+            engine, n, locality, trial_seed = args
+            assert isinstance(engine, SweepEngine)
+            assert (n, type(locality), type(trial_seed)) == (16, float, int)
+
+    def test_fault_trials_go_through_run_fault_trial(self, monkeypatch):
+        calls = self._count(monkeypatch, campaign, "run_fault_trial")
+        run_faults([0, 0.05], n_objects_list=(16,), n_trials=3)
+        assert len(calls) == 6
+
+    def test_boundaries_are_plain_attributes(self):
+        assert inspect.isfunction(SweepEngine.__dict__["run_csd_trial"])
+        assert inspect.isfunction(vars(campaign)["run_fault_trial"])
+        assert repro.engine.core.SweepEngine is SweepEngine
+        for name in ("SweepEngine", "run_fig3", "run_faults"):
+            assert hasattr(repro.engine, name)

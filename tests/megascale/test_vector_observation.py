@@ -1,6 +1,6 @@
 """Lockstep validation of :class:`VectorSampler` against the live
 :class:`~repro.telemetry.observe.Sampler` (the identity the engine's
-cached observation replay rests on).
+observation replay rests on).
 
 Two layers:
 
@@ -12,7 +12,7 @@ Two layers:
   tally, and ``samples_taken`` count must match byte for byte, even
   with tiny instrument capacities forcing evictions;
 * the end-to-end property runs the same observed trial on the live
-  simulator and on the sweep engine's cached path and demands
+  simulator and on the sweep engine's vector path and demands
   byte-identical observation documents, for N up to 256.
 """
 
@@ -143,15 +143,25 @@ class TestEndToEndObservation:
                 locality, trial_seed=seed, sample_series=sample_series
             ),
         )
-        engine = SweepEngine()
-        cached = _observed_document(
-            stride,
-            lambda: engine.run_csd_trial(
-                n_objects, locality, seed, sample_series=sample_series
-            ),
-        )
-        assert engine.trials_cached == 1 and engine.trials_live == 0
-        assert cached == live
+        live_runs = []
+        run_trial = CSDSimulator.run_trial
+
+        def spy(self, *args, **kwargs):
+            live_runs.append(args)
+            return run_trial(self, *args, **kwargs)
+
+        CSDSimulator.run_trial = spy
+        try:
+            vector = _observed_document(
+                stride,
+                lambda: SweepEngine().run_csd_trial(
+                    n_objects, locality, seed, sample_series=sample_series
+                ),
+            )
+        finally:
+            CSDSimulator.run_trial = run_trial
+        assert live_runs == []  # the engine stayed on the vector path
+        assert vector == live
 
     def test_matches_live_at_acceptance_size(self):
         """The ISSUE's acceptance bound: byte-identical documents at

@@ -13,6 +13,7 @@ import pytest
 
 from repro import telemetry
 from repro.csd.simulator import sweep_locality
+from repro.engine import run_fig3
 from repro.telemetry.analysis import (
     blocking_hotspots,
     critical_path,
@@ -34,10 +35,18 @@ def _clean_default_registry():
     telemetry.enable_tracing(False)
 
 
-def traced_sweep(**kwargs) -> Tracer:
+def traced_sweep(workers=None) -> Tracer:
+    """A traced two-point sweep: the serial live sweep, or with
+    ``workers`` the engine sweep over a process pool."""
     telemetry.reset()
     telemetry.enable_tracing()
-    sweep_locality(8, [1.0, 0.0], n_trials=2, seed=3, **kwargs)
+    if workers is None:
+        sweep_locality(8, [1.0, 0.0], n_trials=2, seed=3)
+    else:
+        run_fig3(
+            [1.0, 0.0], n_trials=2, seed=3, n_objects_list=[8],
+            workers=workers,
+        )
     return telemetry.tracer()
 
 

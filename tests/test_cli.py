@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -262,106 +263,179 @@ class TestQuietFlag:
         assert "seed=" not in capsys.readouterr().out
 
 
+#: SHA-256 of the outputs the live sweeps wrote for these commands (with
+#: numpy 2.4.6), before the sweep engine became the only sweep path: the
+#: engine must reproduce them byte for byte, serially and at --workers 2.
+#: Each key is the command; the digest is of its stdout for fig3 and of
+#: its ``--report`` file for faults.
+PINNED_SHA256 = {
+    "fig3 --n-objects 16 32 64 --trials 3":
+        "3fc21fbd6ba72c7915c5989dcb0e218683d0bec10a4fc058af6833673275358e",
+    "fig3 --n-objects 16 64 --trials 2":
+        "ec155ad96193bec70d5419168a7ea2c6de8342bd28275058b4d7ee0c2213c8f0",
+    "faults --rates 0 --n-objects 16 32 --trials 3":
+        "fc52e5185feca84e935a12bfcd9628a537209f87cac25a671d0d31dda9b74e91",
+    "faults --rates 0 0.05 --n-objects 16 32 --trials 3":
+        "2240d55255b402493ffac2cc3c332c1685264f570c355d0e97292184706db79f",
+    "faults --rates 0 0.05 --n-objects 16 32 --trials 2 --csd-rate 0":
+        "a56bde6f2387777a664ce5653d2af3340d976091c2841d77f13a54702b444ba8",
+    "faults --rates 0.05 0.2 --n-objects 64 --trials 2":
+        "7978e7c33c184bdfb17b71a822dd81ffaa7c33ea8b7d003fd4fb6dd687adc6a3",
+}
+
+#: The same, for each file of ``fig3 --n-objects 64 --trials 2 --quiet
+#: --observe DIR``.
+PINNED_OBSERVE_SHA256 = {
+    "dashboard.html":
+        "e576da12fc80ae8a5759d1e026ea0e0b809a05420f77ea902418af737e97e647",
+    "heatmaps.csv":
+        "be3b0c51d7fa68a58584e884efdfb27c846edddf9a4d9a841a45367222a10447",
+    "metrics.prom":
+        "cab68b7a69eaaf86373bb367a526da5fb9cec71d0e44e0448c0ea9dfa4ce5c03",
+    "observe.json":
+        "9c89e7a333de7feaab4e23291df396dbe07568c3e26fa4b4ca89a04aa6bd9dee",
+    "series.csv":
+        "6b347b8deb36afe30b9ee6da965241961309afc404e7584a608ce1a79afb2ea3",
+}
+
+WORKER_COUNTS = ([], ["--workers", "2"])
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _pinned_stdout(capsys, command, extra=()):
+    assert main([*command.split(), *extra]) == 0
+    return _sha256(capsys.readouterr().out.encode("utf-8"))
+
+
+def _pinned_report(capsys, tmp_path, command, extra=()):
+    report = tmp_path / "report.json"
+    assert main(
+        [*command.split(), "--quiet", "--report", str(report), *extra]
+    ) == 0
+    capsys.readouterr()
+    return _sha256(report.read_bytes())
+
+
+@pytest.fixture
+def live_trials(monkeypatch):
+    """Count the trials that ran on the live simulator."""
+    from repro.csd.simulator import CSDSimulator
+
+    calls = []
+    run_trial = CSDSimulator.run_trial
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return run_trial(self, *args, **kwargs)
+
+    monkeypatch.setattr(CSDSimulator, "run_trial", counted)
+    return calls
+
+
 class TestEngineFlag:
-    """``--engine`` must change throughput only: stdout and the report
-    file stay byte-identical to the legacy path."""
+    """The fig3 and faults commands run the sweep engine; their stdout
+    and report files must match the digests the live sweeps pinned."""
 
-    def _fig3(self, capsys, extra=()):
-        assert main(
-            ["fig3", "--n-objects", "16", "32", "--trials", "3", *extra]
-        ) == 0
-        return capsys.readouterr()
+    FIG3 = "fig3 --n-objects 16 32 64 --trials 3"
 
-    def test_fig3_engine_matches_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        eng = self._fig3(capsys, ["--engine"])
-        assert eng.out == plain
-        assert "engine trials" in eng.err  # stats go to stderr only
+    def test_fig3_engine_matches_plain_stdout(self, capsys, live_trials):
+        assert _pinned_stdout(capsys, self.FIG3) == PINNED_SHA256[self.FIG3]
+        assert live_trials == []  # every trial ran on the vector kernel
 
     def test_fig3_engine_workers_match_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        eng = self._fig3(capsys, ["--engine", "--workers", "2"])
-        assert eng.out == plain
+        assert _pinned_stdout(
+            capsys, self.FIG3, ["--workers", "2", "--quiet"]
+        ) == PINNED_SHA256[self.FIG3]
 
     def test_faults_engine_report_matches_plain(self, capsys, tmp_path):
-        plain, eng = tmp_path / "plain.json", tmp_path / "eng.json"
-        base = [
-            "faults", "--rates", "0", "0.05", "--n-objects", "16",
-            "--trials", "2", "--quiet",
-        ]
-        assert main([*base, "--report", str(plain)]) == 0
-        assert main([*base, "--engine", "--report", str(eng)]) == 0
-        err = capsys.readouterr().err
-        assert plain.read_bytes() == eng.read_bytes()
-        assert "engine trials" in err
+        for extra in WORKER_COUNTS:
+            for command in (
+                "faults --rates 0 --n-objects 16 32 --trials 3",
+                "faults --rates 0 0.05 --n-objects 16 32 --trials 3",
+            ):
+                assert _pinned_report(
+                    capsys, tmp_path, command, extra
+                ) == PINNED_SHA256[command], (command, extra)
 
-    def test_engine_with_observe_stays_on_engine(self, capsys, tmp_path):
-        """Observation replays from the cache now — an --engine --observe
-        run must stay on the engine and write the exact bundle the live
-        path writes."""
-        live, eng = tmp_path / "live", tmp_path / "eng"
-        self._fig3(capsys, ["--quiet", "--observe", str(live)])
-        res = self._fig3(
-            capsys, ["--quiet", "--engine", "--observe", str(eng)]
-        )
-        assert "cannot replay" not in res.err
-        assert "engine trials" in res.err
-        for name in ("observe.json", "metrics.prom", "series.csv",
-                     "heatmaps.csv", "dashboard.html"):
-            assert (eng / name).read_bytes() == (live / name).read_bytes()
+    def test_engine_with_observe_stays_on_engine(
+        self, capsys, tmp_path, live_trials
+    ):
+        """Observation replays from the grant log, so an --observe run
+        stays on the vector kernel and writes the pinned bundle."""
+        out = tmp_path / "obs"
+        assert main(
+            ["fig3", "--n-objects", "64", "--trials", "2", "--quiet",
+             "--observe", str(out)]
+        ) == 0
+        assert live_trials == []
+        for name, digest in PINNED_OBSERVE_SHA256.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
 
-    def test_engine_with_trace_falls_back(self, capsys, tmp_path):
-        trace = tmp_path / "t.json"
-        res = self._fig3(capsys, ["--engine", "--trace", str(trace)])
-        assert "--engine cannot replay traces" in res.err
-        assert trace.exists()
+    def test_engine_with_trace_falls_back(self, capsys, tmp_path, live_trials):
+        """Under --trace every trial runs on the live simulator, and the
+        trace is the live sweep's, byte for byte."""
+        from repro.csd.simulator import figure3_series
+        from repro.telemetry.export import write_chrome_trace
+
+        trace, live = tmp_path / "t.json", tmp_path / "live.json"
+        assert main(
+            ["fig3", "--n-objects", "16", "32", "--trials", "3",
+             "--trace", str(trace)]
+        ) == 0
+        assert len(live_trials) == 2 * 6 * 3
+        with telemetry.session(trace=True):
+            figure3_series(
+                localities=[1.0, 0.8, 0.6, 0.4, 0.2, 0.0], n_trials=3,
+                n_objects_list=[16, 32],
+            )
+        write_chrome_trace(telemetry.tracer(), str(live))
+        assert trace.read_bytes() == live.read_bytes()
 
 
 class TestVectorKernelFlag:
-    """``--engine`` resolves cold trials on the vector kernel; it must
-    stay byte-identical on the sizes the CI engine-smoke legs cover
-    beyond the base sweep — N=64 and a pinned ``--csd-rate 0``."""
+    """The vector kernel must stay byte-identical beyond the base sweep:
+    N=64, a faulty N=64 campaign, a pinned ``--csd-rate 0`` and the N=64
+    observation bundle, at --workers 2 as well as serially."""
 
-    def _fig3(self, capsys, extra=()):
-        assert main(
-            ["fig3", "--n-objects", "16", "64", "--trials", "2", *extra]
-        ) == 0
-        return capsys.readouterr()
+    FIG3 = "fig3 --n-objects 16 64 --trials 2"
+    FAULTY = "faults --rates 0.05 0.2 --n-objects 64 --trials 2"
 
     def test_fig3_vector_matches_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        vec = self._fig3(capsys, ["--engine"])
-        assert vec.out == plain
-        assert "engine trials" in vec.err
+        assert _pinned_stdout(capsys, self.FIG3) == PINNED_SHA256[self.FIG3]
 
     def test_fig3_vector_workers_match_plain_stdout(self, capsys):
-        plain = self._fig3(capsys).out
-        vec = self._fig3(capsys, ["--engine", "--workers", "2"])
-        assert vec.out == plain
+        assert _pinned_stdout(
+            capsys, self.FIG3, ["--workers", "2"]
+        ) == PINNED_SHA256[self.FIG3]
 
     def test_vector_observe_bundle_matches_live(self, capsys, tmp_path):
-        """A vector-kernel engine run emits the byte-exact observation
-        bundle the live path emits."""
-        live, vec = tmp_path / "live", tmp_path / "vec"
-        self._fig3(capsys, ["--quiet", "--observe", str(live)])
-        self._fig3(capsys, ["--quiet", "--engine", "--observe", str(vec)])
-        for name in ("observe.json", "metrics.prom", "series.csv",
-                     "heatmaps.csv", "dashboard.html"):
-            assert (vec / name).read_bytes() == (live / name).read_bytes()
+        out = tmp_path / "obs"
+        assert main(
+            ["fig3", "--n-objects", "64", "--trials", "2", "--quiet",
+             "--workers", "2", "--observe", str(out)]
+        ) == 0
+        for name, digest in PINNED_OBSERVE_SHA256.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
 
     def test_faults_vector_csd_rate_report_matches_plain(
         self, capsys, tmp_path
     ):
-        plain, vec = tmp_path / "plain.json", tmp_path / "vec.json"
-        base = [
-            "faults", "--rates", "0", "0.05", "--n-objects", "16",
-            "--trials", "2", "--csd-rate", "0", "--quiet",
-        ]
-        assert main([*base, "--report", str(plain)]) == 0
-        assert main([*base, "--engine", "--report", str(vec)]) == 0
-        capsys.readouterr()
-        assert plain.read_bytes() == vec.read_bytes()
-        assert json.loads(plain.read_text())["csd_rate"] == 0.0
+        command = "faults --rates 0 0.05 --n-objects 16 32 --trials 2 --csd-rate 0"
+        for extra in WORKER_COUNTS:
+            assert _pinned_report(
+                capsys, tmp_path, command, extra
+            ) == PINNED_SHA256[command], extra
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["csd_rate"] == 0.0
+
+    @pytest.mark.parametrize("extra", WORKER_COUNTS)
+    def test_faulty_n64_report_matches_pinned(self, capsys, tmp_path, extra):
+        assert _pinned_report(
+            capsys, tmp_path, self.FAULTY, extra
+        ) == PINNED_SHA256[self.FAULTY]
 
 
 class TestSweepArgumentErrors:
@@ -373,14 +447,14 @@ class TestSweepArgumentErrors:
         ["fig3", "--trials", "0"],
         ["fig3", "--n-objects", "16", "1"],
         ["fig3", "--workers", "-3"],
-        ["fig3", "--engine", "--trials", "-1"],
+        ["fig3", "--trials", "-1"],
         ["faults", "--trials", "0"],
         ["faults", "--n-objects", "1"],
         ["faults", "--rates", "0", "2"],
         ["faults", "--rate", "-0.1"],
         ["faults", "--workers", "0"],
         ["faults", "--csd-rate", "1.5"],
-        ["faults", "--engine", "--csd-rate", "nan"],
+        ["faults", "--csd-rate", "nan"],
         ["defrag", "--max-passes", "0"],
         ["defrag", "--max-passes", "-3"],
         ["defrag", "--scenario", "nope"],
@@ -398,7 +472,7 @@ class TestOutputPathErrors:
     """An output path that cannot be written exits 2 with one stderr
     line before the run starts, not with a traceback after it: a file
     output needs an existing parent directory and must not be one, and
-    --observe must not name an existing file."""
+    the nearest existing ancestor of --observe must be a directory."""
 
     @pytest.mark.parametrize("argv", [
         ["fig3", "--n-objects", "16", "--trials", "1",
@@ -415,6 +489,10 @@ class TestOutputPathErrors:
         ["defrag", "--report", "{missing}/d.json"],
         ["slo-report", "{spec}", "--records", "{records}",
          "--report", "{missing}/s.json"],
+        ["baseline", "record", "--bench", "fig3",
+         "--out", "{missing}/b.json"],
+        ["fig3", "--n-objects", "16", "--trials", "1",
+         "--observe", "{file}/sub"],
     ])
     def test_exits_2_before_the_run(self, argv, capsys, tmp_path):
         existing = tmp_path / "existing.txt"
@@ -490,8 +568,7 @@ class TestBaselineCommand:
         ) == 0
         assert "recorded engine baseline" in capsys.readouterr().out
         doc = json.loads(out.read_text())
-        assert doc["wallclock"]["speedup"] >= 2.0
-        assert doc["deterministic"]["engine.identical_warm"] == 1.0
+        assert doc["wallclock"]["cold_speedup"] >= 10.0
         assert doc["deterministic"]["engine.identical_legacy"] == 1.0
         assert main(["baseline", "check", str(out), "--skip-wallclock"]) == 0
         assert "baseline holds" in capsys.readouterr().out

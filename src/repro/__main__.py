@@ -211,7 +211,10 @@ def _write_artifacts(
     command: str, trace: Optional[str], observe: Optional[str], profile: bool
 ) -> None:
     """Export what a command's :func:`telemetry.session` recorded: the
-    Chrome trace, the observation bundle, the self-profile summary."""
+    Chrome trace, the observation bundle, the self-profile summary.  The
+    bundle and the summary render one snapshot of the registry."""
+    if observe or profile:
+        snapshot = telemetry.snapshot()
     if trace:
         from repro.telemetry.export import write_chrome_trace
 
@@ -224,7 +227,7 @@ def _write_artifacts(
         from repro.telemetry.exposition import write_observation
 
         written = write_observation(
-            telemetry.snapshot(), observe, title=f"{command} observation"
+            snapshot, observe, title=f"{command} observation"
         )
         print(
             f"wrote observation bundle to {observe}: "
@@ -236,9 +239,7 @@ def _write_artifacts(
             observation_document,
         )
 
-        doc = observation_document(
-            telemetry.snapshot(), title=f"{command} profile"
-        )
+        doc = observation_document(snapshot, title=f"{command} profile")
         print(format_profile_report(doc), end="")
 
 

@@ -14,6 +14,13 @@ Two strategies are provided:
   cluster count, threaded serpentine internally.  Compact shapes keep
   the region's Manhattan diameter (and hence chaining delay) low.
 
+The fold-order queries (:meth:`~ClusterAllocator.free_count`,
+:meth:`~ClusterAllocator.largest_free_run`,
+:meth:`~ClusterAllocator.find_serpentine`) read the fabric's free mask
+(:meth:`STopology.free_mask`) with the run search of
+:mod:`repro.topology.folding` — the same search the compaction schedule
+and the planners use.
+
 Every query takes an optional ``within`` — a set of coordinates the
 search is confined to.  A resident fabric (:mod:`repro.service`) shards
 the die into per-tenant slices and passes each tenant's shard here, so
@@ -26,6 +33,7 @@ from __future__ import annotations
 from typing import Collection, List, Optional, Set, Tuple
 
 from repro.errors import RegionError
+from repro.topology.folding import first_run, longest_run
 from repro.topology.regions import Region, path_region, rectangle_region
 from repro.topology.s_topology import STopology
 
@@ -43,25 +51,13 @@ class ClusterAllocator:
     # -- queries -----------------------------------------------------------
 
     def free_count(self, within: Optional[Collection[Coord]] = None) -> int:
-        free = self.fabric.free_clusters()
-        if within is None:
-            return len(free)
-        scope = set(within)
-        return sum(1 for cluster in free if cluster.coord in scope)
+        return bin(self.fabric.free_mask(within)).count("1")
 
     def largest_free_run(
         self, within: Optional[Collection[Coord]] = None
     ) -> int:
         """Longest contiguous run of free clusters in fold order."""
-        scope = self._scope(within)
-        best = run = 0
-        for coord in self.fabric.linear_order():
-            if self._eligible(coord, scope):
-                run += 1
-                best = max(best, run)
-            else:
-                run = 0
-        return best
+        return longest_run(self.fabric.free_mask(within))
 
     # -- strategies -------------------------------------------------------
 
@@ -71,16 +67,10 @@ class ClusterAllocator:
         """First contiguous free run of ``n_clusters`` along the fold."""
         if n_clusters < 1:
             raise RegionError("need at least one cluster")
-        scope = self._scope(within)
-        run: List[Coord] = []
-        for coord in self.fabric.linear_order():
-            if self._eligible(coord, scope):
-                run.append(coord)
-                if len(run) == n_clusters:
-                    return path_region(run)
-            else:
-                run = []
-        return None
+        at = first_run(self.fabric.free_mask(within), n_clusters)
+        if at is None:
+            return None
+        return path_region(self.fabric.order[at:at + n_clusters])
 
     def find_rectangle(
         self, n_clusters: int, within: Optional[Collection[Coord]] = None
@@ -92,7 +82,7 @@ class ClusterAllocator:
         """
         if n_clusters < 1:
             raise RegionError("need at least one cluster")
-        scope = self._scope(within)
+        scope = None if within is None else set(within)
         shapes = self._candidate_shapes(n_clusters)
         for h, w in shapes:
             for r0 in range(self.fabric.rows - h + 1):
@@ -131,10 +121,6 @@ class ClusterAllocator:
         return region
 
     # -- internals ---------------------------------------------------------
-
-    @staticmethod
-    def _scope(within: Optional[Collection[Coord]]) -> Optional[Set[Coord]]:
-        return None if within is None else set(within)
 
     def _eligible(self, coord: Coord, scope: Optional[Set[Coord]]) -> bool:
         if scope is not None and coord not in scope:

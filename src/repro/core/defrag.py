@@ -19,24 +19,27 @@ The compaction policy is written once, as the pure schedule
 fold order of their first cluster, lets each search with its own
 clusters counted as free, and moves it to the earliest free run if that
 starts earlier — otherwise puts it back.  Passes repeat until one moves
-nothing.  Free space is a fold-order bitmask and the run search is
-:func:`first_run`, the one primitive the exact search in
-:mod:`repro.planner.exact` uses too.  :class:`Defragmenter` executes the
-schedule visit by visit; the planners in :mod:`repro.planner` price it.
+nothing.  Free space is the fabric's fold-order free mask
+(:meth:`STopology.free_mask <repro.topology.s_topology.STopology.free_mask>`)
+and the run search is :func:`repro.topology.folding.first_run`, the one
+search the allocator, the planners and the service use too.
+:class:`Defragmenter` executes the schedule visit by visit; the planners
+in :mod:`repro.planner` price it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.noc.wormhole import WORM_FAILURES
+from repro.topology.folding import first_run, fold_mask
 from repro.topology.regions import Region, path_region
 
 __all__ = ["MoveRecord", "Visit", "CompactionSchedule", "Defragmenter",
-           "first_run", "fold_mask", "relocate", "simulate_compaction"]
+           "relocate", "simulate_compaction"]
 
 Coord = Tuple[int, int]
 
@@ -81,12 +84,13 @@ class CompactionSchedule:
     #: name -> region after compaction settles.
     final: Dict[str, Region]
     #: The snapshot the schedule was computed from: the fold order, each
-    #: coordinate's fold index, every coordinate a movable processor may
-    #: occupy (free clusters plus the movable processors' own), and the
-    #: movable (INACTIVE, not ring) processors' regions.
+    #: coordinate's fold index (both the fabric's own), the fold-order
+    #: bitmask of every cluster a movable processor may occupy (free
+    #: clusters plus the movable processors' own), and the movable
+    #: (INACTIVE, not ring) processors' regions.
     order: Tuple[Coord, ...]
     fold: Dict[Coord, int]
-    pool: FrozenSet[Coord]
+    pool: int
     start: Dict[str, Region]
 
     @property
@@ -98,57 +102,22 @@ class CompactionSchedule:
         return tuple(visit for visit in self.visits if not visit.moved)
 
 
-def first_run(bits: int, n: int) -> Optional[int]:
-    """Lowest start of ``n`` consecutive set bits in ``bits``, or ``None``.
-
-    The compaction schedule and the exact search hold cluster sets as
-    fold-order bitmasks (bit ``i`` is ``order[i]``, see
-    :func:`fold_mask`), so this is the earliest fold run of ``n``
-    clusters in a set — the run :meth:`ClusterAllocator.find_serpentine`
-    picks on the live fabric.  Once every set bit starts a run of
-    ``span``, ``bits & (bits >> k)`` (``k <= span``) keeps the starts of
-    runs ``span + k``: doubling ``span``, then one last shift, reaches
-    ``n`` in about ``log2(n)`` shift-ANDs.  An empty run (``n < 1``)
-    starts at 0.
-    """
-    if n < 1:
-        return 0
-    span = 1
-    while 2 * span <= n:
-        bits &= bits >> span
-        span *= 2
-    if span < n:
-        bits &= bits >> (n - span)
-    if not bits:
-        return None
-    return (bits & -bits).bit_length() - 1
-
-
-def fold_mask(fold: Dict[Coord, int], coords: Iterable[Coord]) -> int:
-    """The fold-order bitmask of ``coords`` (bit ``fold[coord]`` set)."""
-    bits = 0
-    for coord in coords:
-        bits |= 1 << fold[coord]
-    return bits
-
-
 def simulate_compaction(
     vlsi: VLSIProcessor, max_passes: int = 8
 ) -> CompactionSchedule:
     """Compute the compaction of ``vlsi`` without touching the fabric."""
     fabric = vlsi.fabric
-    order = tuple(fabric.linear_order())
-    fold = {coord: index for index, coord in enumerate(order)}
+    order, fold = fabric.order, fabric.fold
     start = {
         name: instance.region
         for name, instance in vlsi.processors.items()
         if instance.state.state is ProcessorState.INACTIVE
         and not instance.region.ring
     }
-    free = {coord for coord in order if fabric.cluster(coord).is_free}
-    pool = frozenset(free.union(*(region.path for region in start.values())))
-    free_bits = fold_mask(fold, free)
+    free_bits = pool = fabric.free_mask()
     own = {name: fold_mask(fold, region.path) for name, region in start.items()}
+    for bits in own.values():
+        pool |= bits
     layout = dict(start)
     visits: List[Visit] = []
     passes = 0

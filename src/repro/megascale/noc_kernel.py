@@ -36,7 +36,7 @@ layering cycle.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 __all__ = ["WormSchedule", "worm_schedule"]
 
@@ -75,46 +75,6 @@ class WormSchedule:
         return tuple(
             self.hops + self.eject_step * i for i in range(self.n_flits)
         )
-
-    def queue_depths(self, t: int) -> Dict[int, int]:
-        """End-of-step queue depths along the route at local step ``t``
-        (1-based; the stepped simulator samples after step ``t``'s
-        commits), keyed by route position — 0 is the source router,
-        ``1..hops`` the successive XY-route routers.  Positions holding
-        zero flits are omitted.
-
-        Only valid in the :attr:`exact` regimes, where the worm pipelines
-        with one departure per step:
-
-        * the source queue refills from the inject backlog to ``qcap`` at
-          the start of each step and loses one flit per step while flits
-          remain, so its end-of-step depth is
-          ``min(qcap, n_flits - (t - 1)) - 1`` for ``t <= n_flits``
-          (zero afterwards);
-        * flit ``i`` (0-based) departs the source during step ``i + 1``
-          and advances one position per step, so it sits at position
-          ``p`` exactly at the end of step ``t = i + p`` — route position
-          ``p`` therefore holds one flit iff ``p <= t <= p + n_flits - 1``
-          (at most one: two flits at one position would need equal
-          ``i + p`` with distinct ``p``).
-
-        Cross-validated against the stepped simulator's
-        ``buffer_depths()`` by the sampled-express identity test in
-        ``tests/megascale/test_noc_kernel.py``.
-        """
-        if not self.exact:
-            raise ValueError(
-                "queue depths are closed-form only for exact schedules"
-            )
-        depths: Dict[int, int] = {}
-        if 1 <= t <= self.n_flits:
-            src_depth = min(self.qcap, self.n_flits - (t - 1)) - 1
-            if src_depth > 0:
-                depths[0] = src_depth
-        for pos in range(1, self.hops + 1):
-            if pos <= t <= pos + self.n_flits - 1:
-                depths[pos] = 1
-        return depths
 
 
 def worm_schedule(

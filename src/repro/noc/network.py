@@ -17,7 +17,7 @@ from repro import telemetry
 from repro.errors import RoutingError, SimulationError
 from repro.noc.flit import Flit, Packet
 from repro.noc.router import Router
-from repro.noc.routing_algos import OPPOSITE, Port, neighbor_via, xy_path
+from repro.noc.routing_algos import OPPOSITE, Port, neighbor_via
 from repro.topology.metrics import manhattan
 
 __all__ = ["DeliveryRecord", "RouterNetwork"]
@@ -82,12 +82,9 @@ class RouterNetwork:
         #: Optional :class:`repro.telemetry.Sampler` ticked once per
         #: :meth:`step` — attach buffer-depth probes here to record the
         #: per-router queue heatmap; ``None`` (the default) costs one
-        #: attribute check per cycle.
+        #: attribute check per cycle.  A sampled network steps every
+        #: worm (see :meth:`express_eligible`).
         self.sampler = None
-        #: While express delivery replays a worm's schedule, this holds the
-        #: synthetic per-router queue depths :meth:`buffer_depths` should
-        #: report to the sampler's probes; ``None`` means live queues.
-        self._express_depths: Optional[Dict[str, int]] = None
         self.delivered: List[DeliveryRecord] = []
         self._inject_backlog: Dict[Coord, Deque[Flit]] = {
             coord: deque() for coord in self.routers
@@ -240,12 +237,9 @@ class RouterNetwork:
         exact only when nothing can perturb the cycle-by-cycle transport:
         the network must be fully drained (no contention — a read of the
         in-flight flit count, not a scan of the routers), no tracer span
-        per hop, and no fault injector that could stall a link (a
-        pristine injector — rate-0 plan, nothing quarantined — is fine:
-        its hooks are no-ops).  An attached sampler does *not* disqualify
-        the fast path: :meth:`deliver_express` ticks it once per
-        scheduled step against the schedule's closed-form queue depths,
-        byte-identical to stepping.
+        per hop, no sampler (it samples the live queues every step), and
+        no fault injector that could stall a link (a pristine injector —
+        rate-0 plan, nothing quarantined — is fine: its hooks are no-ops).
 
         When ``packet`` is given, additionally checks that *its* schedule
         is exact — single-slot queues make multi-flit, multi-hop timing
@@ -255,6 +249,7 @@ class RouterNetwork:
         if (
             not self.is_drained()
             or telemetry.tracer().enabled
+            or self.sampler is not None
             or (self.faults is not None and not self.faults.pristine())
         ):
             return False
@@ -313,55 +308,17 @@ class RouterNetwork:
             raise SimulationError(f"exceeded cycle budget {max_cycles}")
         self._inject_time[packet.packet_id] = start
         self._packet_meta[packet.packet_id] = packet
-        if self.sampler is None:
-            for flit, offset in zip(packet.flits, schedule.eject_offsets()):
-                # _deliver stamps the record from cycle_count, and hooks
-                # may read it: hold the clock at each flit's ejection cycle
-                self.cycle_count = start + offset
-                self._deliver(flit)
-        else:
-            self._deliver_express_sampled(packet, schedule, start)
+        for flit, offset in zip(packet.flits, schedule.eject_offsets()):
+            # _deliver stamps the record from cycle_count, and hooks may
+            # read it: hold the clock at each flit's ejection cycle
+            self.cycle_count = start + offset
+            self._deliver(flit)
         self.cycle_count = start + schedule.drain_at
         telemetry.counter("noc.cycles").inc(schedule.drain_at)
         telemetry.counter("noc.flit_moves").inc(schedule.flit_moves)
         if schedule.stalls:
             telemetry.counter("noc.stalls").inc(schedule.stalls)
         return self.delivered[-1]
-
-    def _deliver_express_sampled(self, packet: Packet, schedule, start: int) -> None:
-        """Walk the closed-form schedule step by step, ticking the
-        attached sampler exactly as :meth:`run_until_drained` would.
-
-        Each scheduled local step ``t`` first delivers the flits whose
-        eject offset falls in it (``offset == t - 1`` — the stepped run
-        stamps deliveries from the pre-increment clock), then advances
-        the clock and ticks the sampler once while :meth:`buffer_depths`
-        reports the schedule's closed-form queue depths mapped onto the
-        worm's XY route — so the buffer-depth heatmap matches the
-        stepped run's sample for sample.
-        """
-        route = xy_path(packet.src, packet.dst)
-        zeros = {
-            f"r{r}c{c}": 0 for (r, c) in sorted(self.routers)
-        }
-        ejects = list(zip(packet.flits, schedule.eject_offsets()))
-        next_eject = 0
-        try:
-            for t in range(1, schedule.drain_at + 1):
-                while next_eject < len(ejects) and ejects[next_eject][1] == t - 1:
-                    flit, offset = ejects[next_eject]
-                    self.cycle_count = start + offset
-                    self._deliver(flit)
-                    next_eject += 1
-                self.cycle_count = start + t
-                depths = dict(zeros)
-                for pos, depth in schedule.queue_depths(t).items():
-                    r, c = route[pos]
-                    depths[f"r{r}c{c}"] = depth
-                self._express_depths = depths
-                self.sampler.tick()
-        finally:
-            self._express_depths = None
 
     # -- delivery bookkeeping ----------------------------------------------
 
@@ -444,13 +401,7 @@ class RouterNetwork:
     def buffer_depths(self) -> Dict[str, int]:
         """Queued-flit count per router, keyed ``"r<row>c<col>"`` in
         row-major order — the Figure 7(e) input queues as one samplable
-        observation (where a worm's backpressure piles up).
-
-        During express delivery the live queues never hold the worm's
-        flits; the synthetic depths derived from the closed-form schedule
-        are reported instead (same keys, same row-major order)."""
-        if self._express_depths is not None:
-            return self._express_depths
+        observation (where a worm's backpressure piles up)."""
         return {
             f"r{r}c{c}": router.queued_flits()
             for (r, c), router in sorted(self.routers.items())

@@ -24,10 +24,12 @@ budget bounds the worst case, falling back to the best schedule found
 (ultimately the greedy one).
 
 The search state is fold-order bitmasks (bit ``i`` is ``order[i]``),
-searched with :func:`repro.core.defrag.first_run` like the compaction
-schedule: a node's occupancy is one integer, a child's candidate space
-is ``pool & ~(occ & ~own)``, and a layout is accepted when the free
-space ``pool & ~occ`` holds a run as long as the quality floor.  A
+searched with :func:`repro.topology.folding.first_run` like the
+compaction schedule and the allocator: a node's occupancy is one
+integer, a child's candidate space is ``pool & ~(occ & ~own)``, and a
+layout is accepted when the free space ``pool & ~occ`` holds a run as
+long as the quality floor (the :func:`~repro.topology.folding.longest_run`
+of the greedy fixpoint's free space).  A
 processor moves at most once and always from its start region, so each
 (processor, run start) pair is priced with :func:`delta_move` once per
 search: a :class:`~repro.topology.regions.Region` is built per priced
@@ -44,9 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.defrag import CompactionSchedule, first_run, fold_mask
+from repro.core.defrag import CompactionSchedule
 from repro.planner.cost import delta_move
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
+from repro.topology.folding import first_run, fold_mask, longest_run
 from repro.topology.regions import path_region
 
 __all__ = ["ExactSearch", "search_exact"]
@@ -80,18 +83,15 @@ def search_exact(
         The greedy plan's delta cost; only strictly cheaper accepted
         schedules are reported.
     """
-    order, fold, start = schedule.order, schedule.fold, schedule.start
+    order, fold, pool = schedule.order, schedule.fold, schedule.pool
+    start = schedule.start
     names = sorted(start, key=lambda n: fold[start[n].path[0]])
     own = [fold_mask(fold, start[name].path) for name in names]
     sizes = [len(start[name]) for name in names]
     heads = [fold[start[name].path[0]] for name in names]
-    pool = fold_mask(fold, schedule.pool)
-    final_free = pool & ~fold_mask(
+    quality_floor = longest_run(pool & ~fold_mask(
         fold, (c for r in schedule.final.values() for c in r.path)
-    )
-    quality_floor = 0
-    while first_run(final_free, quality_floor + 1) is not None:
-        quality_floor += 1
+    ))
     # (processor index, run start) -> its one relocation: a processor
     # moves at most once, always from its start region, so the move
     # costs the same wherever the search reaches it

@@ -29,7 +29,7 @@ the service layer can report what delta rewiring saves.
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional, Set, Tuple
+from typing import Collection, Optional, Tuple
 
 from repro.core.defrag import simulate_compaction
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
@@ -38,6 +38,7 @@ from repro.planner.cost import delta_move
 from repro.planner.exact import build_plan, exact_plan_meta, search_exact
 from repro.planner.naive import price_schedule
 from repro.planner.plan import RegionMove, RewirePlan
+from repro.topology.folding import fold_mask, run_starts
 from repro.topology.regions import Region, path_region
 
 __all__ = ["MinimalPlanner"]
@@ -114,29 +115,24 @@ class MinimalPlanner:
         ``None`` when the shard holds no such run.
         """
         fabric = vlsi.fabric
-        scope: Optional[Set[Coord]] = None if within is None else set(within)
-        own = set(instance.region.path)
         size = len(instance.region) + extra_clusters
-
+        own = fold_mask(fabric.fold, (
+            coord for coord in instance.region.path
+            if within is None or coord in within
+        ))
+        starts = run_starts(fabric.free_mask(within) | own, size)
         best: Optional[RegionMove] = None
-        run: List[Coord] = []
-        for coord in fabric.linear_order():
-            eligible = (
-                (scope is None or coord in scope)
-                and (fabric.cluster(coord).is_free or coord in own)
+        while starts:
+            at = (starts & -starts).bit_length() - 1
+            starts &= starts - 1
+            move = delta_move(
+                instance.name, instance.region,
+                path_region(fabric.order[at:at + size]),
             )
-            if eligible:
-                run.append(coord)
-            else:
-                run = []
-            if len(run) >= size:
-                move = delta_move(
-                    instance.name, instance.region, path_region(run[-size:])
-                )
-                # windows arrive in start order: only a strictly cheaper
-                # one displaces the earliest of the cheapest
-                if best is None or move.cost.total < best.cost.total:
-                    best = move
+            # windows arrive in start order: only a strictly cheaper
+            # one displaces the earliest of the cheapest
+            if best is None or move.cost.total < best.cost.total:
+                best = move
         return best
 
     def plan_shrink(

@@ -44,6 +44,7 @@ from repro.errors import (
 from repro.core.scaling import ScalingController
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
+from repro.topology.folding import first_run, fold_mask
 from repro.topology.metrics import manhattan
 
 __all__ = ["TenantQuota", "Tenant", "ResidentFabric"]
@@ -157,11 +158,12 @@ class ResidentFabric:
     ) -> Tuple[Tenant, int]:
         """Admit a tenant, carving its shard out of the fold.
 
-        ``slot`` pins the shard to ``linear_order()[slot:slot+clusters]``
-        — a placement hint clients use for cross-run determinism (the
-        load generator always passes one).  Without it the first free
-        run of un-sharded clusters along the fold is taken, which
-        depends on who is currently resident.
+        ``slot`` pins the shard to fold positions ``slot`` to
+        ``slot + clusters - 1`` — a placement hint clients use for
+        cross-run determinism (the load generator always passes one).
+        Without it the first free run of un-sharded clusters along the
+        fold is taken (:func:`~repro.topology.folding.first_run` on the
+        un-sharded mask), which depends on who is currently resident.
 
         Returns ``(tenant, cost_cycles)``.
 
@@ -182,27 +184,28 @@ class ResidentFabric:
             quota = TenantQuota(clusters, processors, mailbox_slots)
         except ValueError as exc:
             raise AdmissionError(str(exc)) from None
-        order = self.vlsi.fabric.linear_order()
-        if slot is not None:
-            if slot < 0 or slot + clusters > len(order):
-                raise AdmissionError(
-                    f"shard slot {slot}+{clusters} outside the "
-                    f"{len(order)}-cluster fold"
-                )
-            shard = tuple(order[slot : slot + clusters])
-            taken = [c for c in shard if c in self._shard_owner]
-            if taken:
-                raise AdmissionError(
-                    f"shard slot {slot}+{clusters} overlaps tenant "
-                    f"{self._shard_owner[taken[0]]!r} at {taken[0]}"
-                )
-        else:
-            shard = self._first_free_run(order, clusters)
-            if shard is None:
+        fabric = self.vlsi.fabric
+        n = len(fabric.order)
+        if slot is None:
+            sharded = fold_mask(fabric.fold, self._shard_owner)
+            slot = first_run(~sharded & ((1 << n) - 1), clusters)
+            if slot is None:
                 raise AdmissionError(
                     f"no free {clusters}-cluster shard on the fold "
-                    f"({len(order) - len(self._shard_owner)} un-sharded)"
+                    f"({n - len(self._shard_owner)} un-sharded)"
                 )
+        elif slot < 0 or slot + clusters > n:
+            raise AdmissionError(
+                f"shard slot {slot}+{clusters} outside the "
+                f"{n}-cluster fold"
+            )
+        shard = fabric.order[slot : slot + clusters]
+        taken = [c for c in shard if c in self._shard_owner]
+        if taken:
+            raise AdmissionError(
+                f"shard slot {slot}+{clusters} overlaps tenant "
+                f"{self._shard_owner[taken[0]]!r} at {taken[0]}"
+            )
         tenant = Tenant(name=name, shard=shard, quota=quota)
         self.tenants[name] = tenant
         for coord in shard:
@@ -211,19 +214,6 @@ class ResidentFabric:
         telemetry.counter("service.admissions").inc()
         # shard scan + switch-flag initialisation: one cycle per cluster
         return tenant, 1 + clusters
-
-    def _first_free_run(
-        self, order: List[Coord], n: int
-    ) -> Optional[Tuple[Coord, ...]]:
-        run: List[Coord] = []
-        for coord in order:
-            if coord in self._shard_owner:
-                run = []
-                continue
-            run.append(coord)
-            if len(run) == n:
-                return tuple(run)
-        return None
 
     def evict(self, name: str) -> Tuple[Dict[str, Any], int]:
         """Remove a tenant: destroy its processors, free its shard.

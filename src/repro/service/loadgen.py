@@ -35,6 +35,7 @@ from repro.service.server import (
     InProcessClient,
     TCPClient,
 )
+from repro.telemetry.metrics import nearest_rank
 
 __all__ = [
     "CYCLES_PER_SECOND",
@@ -272,20 +273,12 @@ def run_load(config: LoadConfig, transport: str = "inproc") -> Dict[str, Any]:
 # -- reporting ---------------------------------------------------------------
 
 
-def _percentile(ordered: List[int], p: int) -> int:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not ordered:
-        return 0
-    rank = max(1, -(-len(ordered) * p // 100))
-    return ordered[rank - 1]
-
-
 def _latency_stats(latencies: List[int]) -> Dict[str, int]:
     """The canonical percentile block over an ascending latency list."""
     return {
-        "p50": _percentile(latencies, 50),
-        "p95": _percentile(latencies, 95),
-        "p99": _percentile(latencies, 99),
+        "p50": nearest_rank(latencies, 50),
+        "p95": nearest_rank(latencies, 95),
+        "p99": nearest_rank(latencies, 99),
         "max": latencies[-1] if latencies else 0,
     }
 

@@ -255,10 +255,9 @@ class FabricService:
         if telemetry.observer().enabled:
             self._observe_completion(tenant, issue, completion, cost,
                                      prev_mark=issue)
-        order = self.fabric.vlsi.fabric.linear_order()
         result = {
             "clusters": len(tenant.shard),
-            "slot": order.index(tenant.shard[0]),
+            "slot": self.fabric.vlsi.fabric.fold[tenant.shard[0]],
             "schema": PROTOCOL_SCHEMA,
         }
         return self._envelope(

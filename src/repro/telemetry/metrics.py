@@ -16,9 +16,20 @@ measurements they exist to provide.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
-__all__ = ["Counter", "Timer", "Histogram", "Scope"]
+__all__ = ["Counter", "Timer", "Histogram", "Scope", "nearest_rank"]
+
+
+def nearest_rank(ordered: Sequence[Any], p: float, empty: Any = 0) -> Any:
+    """Nearest-rank percentile ``p`` (``0 <= p <= 100``) of an ascending
+    sequence: its element of rank ``max(1, ceil(len * p / 100))``, or
+    ``empty`` when there is none.  Histograms, the SLO windows and the
+    service-load report all read percentiles through this one rank."""
+    if not ordered:
+        return empty
+    rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
+    return ordered[int(rank) - 1]
 
 
 class Counter:
@@ -127,13 +138,7 @@ class Histogram:
         """Nearest-rank percentile, ``0 <= p <= 100``."""
         if not 0 <= p <= 100:
             raise ValueError("percentile must be in [0, 100]")
-        if not self.values:
-            return 0.0
-        ordered = sorted(self.values)
-        if p == 0:
-            return ordered[0]
-        rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-        return ordered[int(rank) - 1]
+        return nearest_rank(sorted(self.values), p, empty=0.0)
 
     @property
     def p50(self) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.telemetry.metrics import nearest_rank
 from repro.telemetry.observe import point_label
 
 __all__ = [
@@ -255,14 +256,6 @@ def _parse_mini_toml(text: str, source: str = "<spec>") -> Dict[str, Any]:
 # -- evaluation --------------------------------------------------------------
 
 
-def _percentile(ordered: Sequence[float], p: int) -> float:
-    """Nearest-rank percentile of an ascending sequence (0 when empty)."""
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-len(ordered) * p // 100))
-    return float(ordered[rank - 1])
-
-
 def _window_index(completion: int, width: int, n_windows: int) -> int:
     """Window holding ``completion``; the last window is right-closed so
     the makespan-defining record stays in range."""
@@ -302,7 +295,7 @@ def _latency_windows(
         group_violations = 0
         worst = 0.0
         for index, latencies in sorted(buckets.items()):
-            p99 = _percentile(sorted(latencies), 99)
+            p99 = float(nearest_rank(sorted(latencies), 99))
             worst = max(worst, p99)
             evaluated[index] += 1
             group_windows += 1

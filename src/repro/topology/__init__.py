@@ -17,7 +17,7 @@ Modules
     The replicated cluster of compute/memory/system objects (Fig. 4b).
 :mod:`repro.topology.folding`
     Serpentine folding between linear (stack) order and grid coordinates
-    (Fig. 4c).
+    (Fig. 4c), and the one fold-run search on fold-order bitmasks.
 :mod:`repro.topology.s_topology`
     The cluster grid itself, with its inter-cluster switch fabric (Fig. 4a).
 :mod:`repro.topology.regions`

@@ -59,7 +59,13 @@ class STopology:
         self.rows = rows
         self.cols = cols
         self.resources = resources or ClusterResources()
-        self._linear_order: Tuple[Coord, ...] = tuple(serpentine_order(rows, cols))
+        #: The serpentine stack order (Figure 4(c)), folded once.
+        self.order: Tuple[Coord, ...] = tuple(serpentine_order(rows, cols))
+        #: Each coordinate's position along :attr:`order` — the bit it
+        #: owns in a fold-order mask (:func:`~repro.topology.folding.fold_mask`).
+        self.fold: Dict[Coord, int] = {
+            coord: index for index, coord in enumerate(self.order)
+        }
         self._clusters: Dict[Coord, Cluster] = {
             (r, c): Cluster((r, c), self.resources)
             for r in range(rows)
@@ -109,16 +115,27 @@ class STopology:
                 out.append(nbr)
         return out
 
-    def free_clusters(self) -> List[Cluster]:
-        """Clusters in the release pool (unowned, not defective)."""
-        return [cl for cl in self._clusters.values() if cl.is_free]
+    def free_mask(self, within: Optional[Iterable[Coord]] = None) -> int:
+        """The fold-order bitmask of the free clusters: bit ``fold[coord]``
+        is set when that cluster is unowned and not defective.
+
+        Derived from cluster state on every call, so it can never
+        disagree with it.  With ``within`` (coordinates of this fabric)
+        only those clusters are visited — a tenant's shard costs its own
+        size, not the die's.
+        The fold-run search of :mod:`repro.topology.folding` reads it.
+        """
+        clusters, fold = self._clusters, self.fold
+        bits = 0
+        for coord in clusters if within is None else within:
+            if clusters[coord].is_free:
+                bits |= 1 << fold[coord]
+        return bits
 
     def linear_order(self) -> List[Coord]:
-        """The whole-grid serpentine stack order (Figure 4(c)).
-
-        Folded once when the fabric is built; each call returns a fresh
-        list the caller may mutate."""
-        return list(self._linear_order)
+        """The whole-grid serpentine stack order (Figure 4(c)): a fresh
+        list of :attr:`order` the caller may mutate."""
+        return list(self.order)
 
     # -- switches --------------------------------------------------------
 

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import ClusterAllocator
-from repro.core.defrag import Defragmenter, first_run, fold_mask
+from repro.core.defrag import Defragmenter
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import FaultInjectionError, RegionError
 from repro.planner import MinimalPlanner
-from repro.topology.folding import serpentine_unfold
+from repro.topology.folding import first_run, fold_mask, serpentine_unfold
 from repro.topology.regions import path_region
 from repro.topology.rings import ring_region
 from repro.topology.s_topology import STopology
@@ -192,9 +192,9 @@ class TestVisitOrder:
 
 
 class TestFirstRun:
-    """The bitmask run search shared by the compaction schedule and the
-    exact search picks exactly the run the live allocator would — the
-    one check on their target choice that goes through neither."""
+    """A free mask built here from the cluster states, searched with
+    :func:`first_run`, picks exactly the run the live allocator returns
+    from the fabric's own :meth:`STopology.free_mask`."""
 
     @given(
         rows=st.integers(1, 5),

@@ -8,6 +8,7 @@ from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import ReproError
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork
+from repro.topology.folding import fold_mask
 
 
 class TestFlitConservation:
@@ -72,7 +73,8 @@ op_strategy = st.lists(
 class TestOwnershipPartition:
     """After any operation sequence: every cluster has at most one owner,
     owners match the processors' regions exactly, chained components
-    never span two processors, and freed clusters are really free."""
+    never span two processors, freed clusters are really free, and the
+    fabric's free mask is the die minus the owned and defective ones."""
 
     @settings(max_examples=25, deadline=None)
     @given(ops=op_strategy, seed=st.integers(0, 10_000))
@@ -117,3 +119,10 @@ class TestOwnershipPartition:
             assert component <= set(proc.region.path)
         # accounting
         assert chip.free_clusters() == len(chip.fabric) - len(owned)
+        # the free mask every fold-run query reads is exactly the die
+        # minus the owned and the defective clusters
+        fabric = chip.fabric
+        taken = fold_mask(fabric.fold, owned) | fold_mask(
+            fabric.fold, (cl.coord for cl in fabric.clusters() if cl.defective)
+        )
+        assert fabric.free_mask() == ((1 << len(fabric)) - 1) & ~taken

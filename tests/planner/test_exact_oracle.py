@@ -73,7 +73,7 @@ def simulate_compaction(
         and not instance.region.ring
     }
     free = {coord for coord in order if fabric.cluster(coord).is_free}
-    pool = frozenset(free.union(*(region.path for region in start.values())))
+    pool = free.union(*(region.path for region in start.values()))
     layout = dict(start)
     visits: List[Visit] = []
     passes = 0
@@ -96,7 +96,8 @@ def simulate_compaction(
         if not moved:
             break
     return CompactionSchedule(
-        tuple(visits), passes, layout, order, fold, pool, start
+        tuple(visits), passes, layout, order, fold,
+        sum(1 << fold[coord] for coord in pool), start,
     )
 
 
@@ -128,9 +129,8 @@ def search_exact(
         The greedy plan's delta cost; only strictly cheaper accepted
         schedules are reported.
     """
-    order, pool, fold, layout = (
-        schedule.order, schedule.pool, schedule.fold, schedule.start
-    )
+    order, fold, layout = schedule.order, schedule.fold, schedule.start
+    pool = {coord for coord in order if schedule.pool >> fold[coord] & 1}
     quality_floor = _largest_run(
         order, pool.difference(*(r.path for r in schedule.final.values()))
     )

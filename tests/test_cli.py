@@ -191,6 +191,23 @@ class TestObserveCommands:
         assert "repro_faults_recovery_p95" in metrics
         assert "repro_noc_buffer_depth_cells" in metrics
 
+    def test_observe_and_profile_render_one_snapshot(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        calls = []
+        snapshot = telemetry.snapshot
+
+        def counted():
+            calls.append(1)
+            return snapshot()
+
+        monkeypatch.setattr(telemetry, "snapshot", counted)
+        assert main(
+            ["fig3", "--n-objects", "16", "--trials", "2", "--quiet",
+             "--observe", str(tmp_path / "obs"), "--profile"]
+        ) == 0
+        assert len(calls) == 1
+
     def test_observe_workers_match_serial_bytes(self, capsys, tmp_path):
         """Acceptance criterion: serial and --workers runs produce
         byte-identical OpenMetrics and heatmap artifacts."""
@@ -298,6 +315,23 @@ PINNED_OBSERVE_SHA256 = {
         "6b347b8deb36afe30b9ee6da965241961309afc404e7584a608ce1a79afb2ea3",
 }
 
+#: The same, for each file of ``faults --rates 0 0.1 --n-objects 16
+#: --trials 2 --quiet --observe DIR``, written while four of its
+#: configuration worms were still delivered by a sampled express path:
+#: a sampled network now steps every worm, and the bundle must not move.
+PINNED_FAULTS_OBSERVE_SHA256 = {
+    "dashboard.html":
+        "8c0fc10d0b43d3446d747076b2a7bbaf30b92088b13b2108bb30abc912268f9c",
+    "heatmaps.csv":
+        "bb723469385a6a1bab027feba437c84341fecb763481ee3c40c8048ead74e08e",
+    "metrics.prom":
+        "c55788ad106c7a71ca114770a0bf4aa1bf80b769df54b960ec67fea9bd0812f7",
+    "observe.json":
+        "90423fd40c3808e415648bc1af7d36e8a44cc3c3e75faea97eb3955aac4f563b",
+    "series.csv":
+        "6c3247dfa1e4b6de719fbca90c26b32e8895c784185f287c4347dfa7e03ec40f",
+}
+
 WORKER_COUNTS = ([], ["--workers", "2"])
 
 
@@ -372,6 +406,15 @@ class TestEngineFlag:
         ) == 0
         assert live_trials == []
         for name, digest in PINNED_OBSERVE_SHA256.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
+
+    def test_faults_observe_bundle_matches_pinned(self, capsys, tmp_path):
+        out = tmp_path / "obs"
+        assert main(
+            ["faults", "--rates", "0", "0.1", "--n-objects", "16",
+             "--trials", "2", "--quiet", "--observe", str(out)]
+        ) == 0
+        for name, digest in PINNED_FAULTS_OBSERVE_SHA256.items():
             assert _sha256((out / name).read_bytes()) == digest, name
 
     def test_engine_with_trace_falls_back(self, capsys, tmp_path, live_trials):

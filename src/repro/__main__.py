@@ -83,6 +83,7 @@ def _sweep_arg_error(
     n_objects: List[int],
     trials: int,
     workers: Optional[int],
+    seed: int,
     rates: Sequence[float] = (),
     csd_rate: Optional[float] = None,
 ) -> Optional[str]:
@@ -95,6 +96,8 @@ def _sweep_arg_error(
         return f"--n-objects must each be at least 2 (got {small[0]})"
     if workers is not None and workers < 1:
         return f"--workers must be at least 1 (got {workers})"
+    if seed < 0:
+        return f"--seed must be non-negative (got {seed})"
     bad = [r for r in rates if not 0.0 <= r <= 1.0]
     if bad:
         return f"fault rates must lie in [0, 1] (got {bad[0]:g})"
@@ -158,7 +161,7 @@ def _cmd_fig3(
 ) -> int:
     from repro.engine import run_fig3
 
-    error = _sweep_arg_error(n_objects, trials, workers)
+    error = _sweep_arg_error(n_objects, trials, workers, seed)
     if error:
         print(f"fig3: {error}", file=sys.stderr)
         return 2
@@ -260,7 +263,9 @@ def _cmd_faults(
     from repro.engine import run_faults
     from repro.faults.campaign import report_json
 
-    error = _sweep_arg_error(n_objects, trials, workers, rates, csd_rate)
+    error = _sweep_arg_error(
+        n_objects, trials, workers, seed, rates, csd_rate
+    )
     if error:
         print(f"faults: {error}", file=sys.stderr)
         return 2
@@ -335,47 +340,37 @@ def _cmd_trace_report(path: str) -> int:
 
     try:
         spans = load_chrome_trace(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read trace {path!r}: {exc}", file=sys.stderr)
         return 2
     print(format_trace_report(spans))
     return 0
 
 
-def _load_observe_path(path: str):
-    from repro.telemetry.exposition import load_observation
+def _cmd_observation_report(path: str, profile: bool) -> int:
+    """``observe-report`` (or ``profile``, the self-profile stages) of an
+    ``observe.json`` file or of the bundle directory holding one."""
+    from repro.telemetry.exposition import (
+        format_observe_report,
+        format_profile_report,
+        load_observation,
+    )
 
     target = path
     if os.path.isdir(target):
         target = os.path.join(target, "observe.json")
-    return load_observation(target)
-
-
-def _cmd_observe_report(path: str) -> int:
-    from repro.telemetry.exposition import format_observe_report
-
     try:
-        doc = _load_observe_path(path)
+        doc = load_observation(target)
     except (OSError, ValueError) as exc:
         print(f"cannot read observation {path!r}: {exc}", file=sys.stderr)
         return 2
-    print(format_observe_report(doc), end="")
-    return 0
-
-
-def _cmd_profile_report(path: str) -> int:
-    from repro.telemetry.exposition import format_profile_report
-
-    try:
-        doc = _load_observe_path(path)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read observation {path!r}: {exc}", file=sys.stderr)
-        return 2
-    print(format_profile_report(doc), end="")
+    render = format_profile_report if profile else format_observe_report
+    print(render(doc), end="")
     return 0
 
 
 def _cmd_baseline(args) -> int:
+    from repro.errors import ReproError
     from repro.telemetry.baseline import (
         BENCHES,
         check_baseline,
@@ -413,8 +408,8 @@ def _cmd_baseline(args) -> int:
             latency_tolerance=args.latency_tolerance,
             skip_wallclock=args.skip_wallclock,
         )
-    except ValueError as exc:
-        print(f"baseline: {exc}", file=sys.stderr)
+    except (ValueError, ReproError) as exc:
+        print(f"baseline: {args.baseline_file}: {exc}", file=sys.stderr)
         return 2
     if regressions:
         print(f"{args.baseline_file}: {len(regressions)} regression(s):")
@@ -619,9 +614,8 @@ def _cmd_slo_report(
 ) -> int:
     """Re-evaluate SLO objectives over a saved records dump; exit 1 when
     any error budget is exhausted (2 on malformed inputs)."""
-    import json as _json
-
     from repro.service.loadgen import RECORDS_SCHEMA
+    from repro.telemetry.artifacts import read_json
     from repro.telemetry.slo import (
         evaluate_slos,
         format_slo_report,
@@ -635,15 +629,20 @@ def _cmd_slo_report(
         print(f"slo-report: bad SLO spec: {exc}", file=sys.stderr)
         return 2
     try:
-        with open(records_file, "r", encoding="utf-8") as fh:
-            document = _json.load(fh)
-    except (OSError, _json.JSONDecodeError) as exc:
+        document = read_json(records_file)
+    except (OSError, ValueError) as exc:
         print(f"slo-report: cannot read records: {exc}", file=sys.stderr)
         return 2
-    if (
-        not isinstance(document, dict)
-        or document.get("schema") != RECORDS_SCHEMA
-        or not isinstance(document.get("records"), list)
+    config = document.get("config", {}) if isinstance(document, dict) else None
+    rows, cols = (
+        (config.get("rows", 8), config.get("cols", 8))
+        if isinstance(config, dict) else (None, None)
+    )
+    if not (
+        isinstance(document, dict)
+        and document.get("schema") == RECORDS_SCHEMA
+        and isinstance(document.get("records"), list)
+        and all(type(side) is int and side >= 1 for side in (rows, cols))
     ):
         print(
             f"slo-report: {records_file} is not a {RECORDS_SCHEMA} "
@@ -651,8 +650,7 @@ def _cmd_slo_report(
             file=sys.stderr,
         )
         return 2
-    config = document.get("config", {})
-    clusters = config.get("rows", 8) * config.get("cols", 8)
+    clusters = rows * cols
     try:
         slo_report = evaluate_slos(
             objectives, document["records"], clusters
@@ -1110,10 +1108,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.command == "trace-report":
         return _cmd_trace_report(args.trace_file)
-    if args.command == "observe-report":
-        return _cmd_observe_report(args.observe_path)
-    if args.command == "profile":
-        return _cmd_profile_report(args.observe_path)
+    if args.command in ("observe-report", "profile"):
+        return _cmd_observation_report(
+            args.observe_path, profile=args.command == "profile"
+        )
     if args.command == "baseline":
         return _cmd_baseline(args)
     if args.command == "chip":

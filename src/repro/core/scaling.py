@@ -15,7 +15,7 @@ leave the ring's closing edge chained to a cluster it no longer joins.
 
 from __future__ import annotations
 
-from typing import Any, Collection, List, Optional, Set, Tuple
+from typing import Collection, List, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.errors import (
@@ -39,25 +39,10 @@ class ScalingController:
     ----------
     vlsi:
         The chip being scaled.
-    planner:
-        Optional reconfiguration planner (e.g.
-        :class:`repro.planner.MinimalPlanner`).  When set, an up-scale
-        whose tail has no free adjacent extension relocates the whole
-        processor onto the cheapest fold run of its grown size (a delta
-        rewire) instead of failing, and shrink savings are accounted in
-        :attr:`last_rewire_saved`.  ``None`` (the default) keeps the
-        pre-planner behaviour byte-identical.
     """
 
-    def __init__(
-        self, vlsi: VLSIProcessor, planner: Optional[Any] = None
-    ) -> None:
+    def __init__(self, vlsi: VLSIProcessor) -> None:
         self.vlsi = vlsi
-        self.planner = planner
-        #: Switch writes + config flits the most recent planned scaling
-        #: operation avoided versus release-then-reconfigure (0 when the
-        #: last operation needed no planning).
-        self.last_rewire_saved = 0
 
     # -- up-scaling ---------------------------------------------------------
 
@@ -88,7 +73,6 @@ class ScalingController:
         if extra_clusters < 1:
             raise ValueError("need at least one extra cluster")
         instance = self._scalable(name)
-        self.last_rewire_saved = 0
         tracer = telemetry.tracer()
         with telemetry.scope("scaling.up_scale"), tracer.span(
             "scaling.up_scale", kind="scaling",
@@ -98,71 +82,29 @@ class ScalingController:
                 instance.region, extra_clusters, within=within
             )
             if extension is None:
-                if not self._planned_grow(
-                    instance, extra_clusters, within, tracer
-                ):
-                    raise RegionError(
-                        f"no free {extra_clusters}-cluster extension "
-                        f"adjacent to {name!r}'s tail "
-                        f"{instance.region.path[-1]}"
-                    )
-            else:
-                ext_region = path_region(extension)
-                op = self.vlsi.configurator.configure(ext_region, owner=name)
-                instance.config_cycles += op.config_cycles
-                instance.last_config_cycles = op.config_cycles
-                # chain the junction: old tail -> new head
-                tail, head = instance.region.path[-1], extension[0]
-                self.vlsi.fabric.chain_switch(tail, head).chain()
-                self.vlsi.fabric.shift_switch(tail, head).chain()
-                instance.region = Region(
-                    instance.region.path + tuple(extension)
+                raise RegionError(
+                    f"no free {extra_clusters}-cluster extension "
+                    f"adjacent to {name!r}'s tail "
+                    f"{instance.region.path[-1]}"
                 )
-                if tracer.enabled:
-                    tracer.instant(
-                        "scaling.junction.chained",
-                        tail=str(tail), head=str(head),
-                    )
-                    tracer.advance()
+            ext_region = path_region(extension)
+            op = self.vlsi.configurator.configure(ext_region, owner=name)
+            instance.config_cycles += op.config_cycles
+            instance.last_config_cycles = op.config_cycles
+            # chain the junction: old tail -> new head
+            tail, head = instance.region.path[-1], extension[0]
+            self.vlsi.fabric.chain_switch(tail, head).chain()
+            self.vlsi.fabric.shift_switch(tail, head).chain()
+            instance.region = Region(instance.region.path + tuple(extension))
+            if tracer.enabled:
+                tracer.instant(
+                    "scaling.junction.chained",
+                    tail=str(tail), head=str(head),
+                )
+                tracer.advance()
         telemetry.counter("scaling.up_scales").inc()
         self._observe_census()
         return instance
-
-    def _planned_grow(
-        self,
-        instance: ProcessorInstance,
-        extra_clusters: int,
-        within: Optional[Collection[Coord]],
-        tracer: Any,
-    ) -> bool:
-        """Planner fallback when no adjacent extension exists: relocate
-        the whole processor onto the cheapest fold run of its grown size
-        as one delta rewire.  Returns ``False`` (caller raises the usual
-        :class:`RegionError`) when no planner is attached or the shard
-        holds no such run."""
-        if self.planner is None:
-            return False
-        move = self.planner.plan_grow(
-            self.vlsi, instance, extra_clusters, within=within
-        )
-        if move is None:
-            return False
-        op = self.vlsi.configurator.reconfigure(
-            move.old, move.new, owner=instance.name
-        )
-        instance.region = move.new
-        instance.config_cycles += op.config_cycles
-        instance.last_config_cycles = op.config_cycles
-        self.last_rewire_saved = move.saved
-        telemetry.counter("planner.rewires_saved").inc(move.saved)
-        telemetry.counter("planner.grow_relocations").inc()
-        if tracer.enabled:
-            tracer.instant(
-                "scaling.planned_relocation",
-                head=str(move.new.path[0]), saved=move.saved,
-            )
-            tracer.advance()
-        return True
 
     def _find_extension(
         self,
@@ -219,13 +161,6 @@ class ScalingController:
                 f"dropping {drop_clusters} of {len(instance.region)} "
                 "clusters leaves nothing; destroy the processor instead"
             )
-        self.last_rewire_saved = 0
-        if self.planner is not None:
-            # the legacy unchain below already *is* the delta — account
-            # what release-then-reconfigure would have paid instead
-            shrink = self.planner.plan_shrink(instance, drop_clusters)
-            self.last_rewire_saved = shrink.saved
-            telemetry.counter("planner.rewires_saved").inc(shrink.saved)
         tracer = telemetry.tracer()
         with telemetry.scope("scaling.down_scale"), tracer.span(
             "scaling.down_scale", kind="scaling",

@@ -1,10 +1,9 @@
-"""Minimal-rewiring reconfiguration planning (ROADMAP item, paper §3.3).
+"""Minimal-rewiring compaction planning (paper §3.3).
 
 Scaling on the S-topology "is simply to chain or unchain" programmable
-switches — yet the legacy defrag and resize paths reprogram *entire*
-regions even when old and new assignments overlap almost completely.
-This package plans the reconfiguration first and rewires only the
-difference:
+switches — yet the legacy defrag loop reprograms *entire* regions even
+when old and new assignments overlap almost completely.  This package
+plans the compaction first and rewires only the difference:
 
 * :mod:`repro.planner.cost` — directed-edge diffing and the
   switch-write / config-flit cost model;

@@ -1,4 +1,4 @@
-"""The minimal-rewiring planner (the ROADMAP's open item).
+"""The minimal-rewiring planner: compaction as directed-edge deltas.
 
 Given the same compaction demand as the legacy loop, it produces a
 :class:`RewirePlan` whose switch-op sequences are **directed-edge
@@ -19,31 +19,20 @@ Three modes:
   result is greedy-or-better always.  Exponential in the worst case,
   bounded by a node budget.
 * ``auto``   — ``exact`` when at most ``exact_limit`` regions are
-  movable (the ISSUE's ≤16-region regime), ``greedy`` beyond that.
-
-The planner also serves the scaling paths: :meth:`plan_grow` relocates a
-processor onto the cheapest fold run that fits its grown size when no
-adjacent extension exists, and :meth:`plan_shrink` prices a tail drop so
-the service layer can report what delta rewiring saves.
+  movable (the ≤16-region regime), ``greedy`` beyond that.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Tuple
-
 from repro.core.defrag import simulate_compaction
-from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
+from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import PlannerError
 from repro.planner.cost import delta_move
 from repro.planner.exact import build_plan, exact_plan_meta, search_exact
 from repro.planner.naive import price_schedule
-from repro.planner.plan import RegionMove, RewirePlan
-from repro.topology.folding import fold_mask, run_starts
-from repro.topology.regions import Region, path_region
+from repro.planner.plan import RewirePlan
 
 __all__ = ["MinimalPlanner"]
-
-Coord = Tuple[int, int]
 
 MODES = ("auto", "greedy", "exact")
 
@@ -64,8 +53,6 @@ class MinimalPlanner:
         self.mode = mode
         self.exact_limit = exact_limit
         self.node_budget = node_budget
-
-    # -- compaction ---------------------------------------------------------
 
     def plan_compaction(
         self, vlsi: VLSIProcessor, max_passes: int = 8
@@ -96,60 +83,3 @@ class MinimalPlanner:
         # exact answer (or the budget ran out and greedy is the bound)
         moves = greedy.moves if result.moves is None else result.moves
         return build_plan(moves, naive.cost, "exact", meta=meta)
-
-    # -- scaling ------------------------------------------------------------
-
-    def plan_grow(
-        self,
-        vlsi: VLSIProcessor,
-        instance: ProcessorInstance,
-        extra_clusters: int,
-        within: Optional[Collection[Coord]] = None,
-    ) -> Optional[RegionMove]:
-        """Relocate ``instance`` onto a fold run of its grown size.
-
-        Considered when no free adjacent extension exists: every
-        contiguous fold-order run of ``n + extra`` eligible clusters
-        (free, or the processor's own) is a candidate; the cheapest
-        delta rewire wins, ties broken by earliest start.  Returns
-        ``None`` when the shard holds no such run.
-        """
-        fabric = vlsi.fabric
-        size = len(instance.region) + extra_clusters
-        own = fold_mask(fabric.fold, (
-            coord for coord in instance.region.path
-            if within is None or coord in within
-        ))
-        starts = run_starts(fabric.free_mask(within) | own, size)
-        best: Optional[RegionMove] = None
-        while starts:
-            at = (starts & -starts).bit_length() - 1
-            starts &= starts - 1
-            move = delta_move(
-                instance.name, instance.region,
-                path_region(fabric.order[at:at + size]),
-            )
-            # windows arrive in start order: only a strictly cheaper
-            # one displaces the earliest of the cheapest
-            if best is None or move.cost.total < best.cost.total:
-                best = move
-        return best
-
-    def plan_shrink(
-        self, instance: ProcessorInstance, drop_clusters: int
-    ) -> RegionMove:
-        """Price dropping ``drop_clusters`` off the tail as a delta.
-
-        The legacy ``down_scale`` already unchains only the junction and
-        the dropped sub-path, so the delta ops merely make that explicit;
-        the naive baseline is what release-then-reconfigure would pay.
-        """
-        if not 0 < drop_clusters < len(instance.region):
-            raise PlannerError(
-                f"cannot drop {drop_clusters} of "
-                f"{len(instance.region)} clusters"
-            )
-        old = instance.region
-        return delta_move(
-            instance.name, old, Region(old.path[:-drop_clusters])
-        )

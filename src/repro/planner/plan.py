@@ -102,10 +102,6 @@ class RegionMove:
     cost: RewireCost
     naive_cost: RewireCost
 
-    @property
-    def saved(self) -> int:
-        return self.naive_cost.total - self.cost.total
-
 
 @dataclass(frozen=True)
 class RewirePlan:

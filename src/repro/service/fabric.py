@@ -81,9 +81,6 @@ class Tenant:
     quota: TenantQuota
     #: Simulated cycle at which the tenant's last operation completed.
     clock: int = 0
-    #: Switch writes + config flits the planner has saved this tenant
-    #: versus release-then-reconfigure (stays 0 without a planner).
-    rewires_saved: int = 0
     #: Integration mark for :attr:`cluster_cycles` (last accounted cycle).
     mark: int = 0
     #: ∫ owned-clusters d(cycle) — the tenant's share of fabric occupancy.
@@ -113,14 +110,6 @@ class ResidentFabric:
         Attach the cycle-level router network so configuration worms
         are actually delivered and timed (their measured delivery
         latency feeds the service's cost model).
-    planner:
-        ``None`` (default) keeps the pre-planner behaviour
-        byte-identical; ``"minimal"`` routes tenant resize operations
-        through :class:`repro.planner.MinimalPlanner` (an up-scale with
-        no free adjacent extension relocates the processor inside its
-        shard as one delta rewire instead of failing, and rewiring
-        savings surface in responses and ``tenant_stats``).  A planner
-        instance may also be passed directly.
     """
 
     def __init__(
@@ -129,17 +118,9 @@ class ResidentFabric:
         cols: int = 8,
         max_tenants: Optional[int] = None,
         with_network: bool = True,
-        planner: Optional[Any] = None,
     ) -> None:
-        if planner == "minimal":
-            # imported lazily so the default service path never touches
-            # the planner package
-            from repro.planner import MinimalPlanner
-
-            planner = MinimalPlanner()
-        self.planner = planner
         self.vlsi = VLSIProcessor(rows, cols, with_network=with_network)
-        self.scaler = ScalingController(self.vlsi, planner=planner)
+        self.scaler = ScalingController(self.vlsi)
         self.max_tenants = max_tenants
         self.tenants: Dict[str, Tenant] = {}
         self._shard_owner: Dict[Coord, str] = {}
@@ -287,36 +268,26 @@ class ResidentFabric:
         # instance now accumulates — keeps the cost model (and the
         # byte-identical latency reports) exactly as before
         cost = 1 + instance.last_config_cycles + extra
-        result = {
+        return {
             "processor": proc,
             "clusters": len(instance.region),
             "config_cycles": instance.last_config_cycles,
-        }
-        if self.planner is not None:
-            saved = self.scaler.last_rewire_saved
-            tenant.rewires_saved += saved
-            result["rewires_saved"] = saved
-        return result, cost
+        }, cost
 
     def scale_down(
         self, name: str, proc: str, drop: int
     ) -> Tuple[Dict[str, Any], int]:
         """Unchain ``drop`` clusters from the processor's tail."""
-        tenant = self._tenant(name)
+        self._tenant(name)
         if drop < 1:
             raise ServiceError("need at least one cluster to drop")
         qualified = self._qualify(name, proc)
         instance = self.scaler.down_scale(qualified, drop)
         # "clearing active state": two switch writes per dropped junction
-        result = {
+        return {
             "processor": proc,
             "clusters": len(instance.region),
-        }
-        if self.planner is not None:
-            saved = self.scaler.last_rewire_saved
-            tenant.rewires_saved += saved
-            result["rewires_saved"] = saved
-        return result, 1 + 2 * drop
+        }, 1 + 2 * drop
 
     def destroy(self, name: str, proc: str) -> Tuple[Dict[str, Any], int]:
         """Down-scale a processor to nothing (back to the release pool)."""
@@ -353,15 +324,12 @@ class ResidentFabric:
         global view stays available to operators via :meth:`stats`.
         """
         tenant = self._tenant(name)
-        result = {
+        return {
             "processors": len(self._tenant_processors(name)),
             "owned_clusters": self.owned_clusters(name),
             "shard_clusters": len(tenant.shard),
             "quota_clusters": tenant.quota.clusters,
-        }
-        if self.planner is not None:
-            result["rewires_saved"] = tenant.rewires_saved
-        return result, 1
+        }, 1
 
     def stats(self) -> Tuple[Dict[str, Any], int]:
         """Fabric-wide occupancy snapshot, for operators (``repro

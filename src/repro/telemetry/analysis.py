@@ -18,10 +18,10 @@ counters cannot:
 
 from __future__ import annotations
 
-import json
 from collections import Counter as TallyCounter
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.telemetry.artifacts import is_metric_number, read_json
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.tracing import Span, SpanEvent, Tracer
 
@@ -37,6 +37,41 @@ __all__ = [
 _BLOCKING_MARKERS = ("block", "conflict", "rollback", "abort", "evict")
 
 
+def _is_id(value: Any) -> bool:
+    return type(value) is int
+
+
+#: What the report needs of each key a slice's ``args`` reserves, when
+#: present; an instant reserves only ``span_id``.
+_SLICE_ARGS = {
+    "span_id": _is_id,
+    "parent_id": lambda value: value is None or _is_id(value),
+    "cycle_start": is_metric_number,
+    "cycle_end": is_metric_number,
+    "kind": lambda value: isinstance(value, str),
+    "status": lambda value: isinstance(value, str),
+}
+
+
+def _event_ok(entry: Any) -> bool:
+    """Whether a ``traceEvents`` entry loads into spans the report can
+    render; entries of phases other than ``X`` and ``i`` are skipped."""
+    if not isinstance(entry, dict) or entry.get("ph") not in ("X", "i"):
+        return isinstance(entry, dict)
+    args = entry.get("args", {})
+    is_slice = entry["ph"] == "X"
+    return (
+        isinstance(entry.get("name"), str)
+        and is_metric_number(entry.get("ts", 0))
+        and isinstance(args, dict)
+        and (not is_slice or "span_id" in args)
+        and all(
+            check(args[key]) for key, check in _SLICE_ARGS.items()
+            if key in args and (is_slice or key == "span_id")
+        )
+    )
+
+
 def load_chrome_trace(path: str) -> List[Span]:
     """Reload spans from a file written by
     :func:`repro.telemetry.export.write_chrome_trace`.
@@ -44,15 +79,18 @@ def load_chrome_trace(path: str) -> List[Span]:
     The exporter stores span identity (``span_id``/``parent_id``), kind,
     status and rebased cycle bounds in each slice's ``args``, so the
     causal tree round-trips losslessly (wall-clock times do not — they
-    are deliberately left out of deterministic exports).
+    are deliberately left out of deterministic exports).  Bad JSON or an
+    event the report could not render raises :class:`ValueError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     events = doc.get("traceEvents") if isinstance(doc, dict) else doc
     if not isinstance(events, list):
         raise ValueError(
             f"{path}: not a Chrome trace (no traceEvents list)"
         )
+    bad = next((i for i, e in enumerate(events) if not _event_ok(e)), None)
+    if bad is not None:
+        raise ValueError(f"{path}: malformed event traceEvents[{bad}]")
     spans: Dict[int, Span] = {}
     instants: List[Dict[str, Any]] = []
     for entry in events:

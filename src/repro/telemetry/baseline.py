@@ -65,6 +65,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.telemetry.artifacts import is_metric_number, read_json
 from repro.telemetry.observe import point_label
 
 __all__ = [
@@ -594,23 +595,61 @@ def check_baseline(
     return regressions
 
 
+def _like(canonical: Any, value: Any) -> bool:
+    """Whether ``value`` can stand where a canonical :data:`BENCHES`
+    configuration holds ``canonical``: a list of values like its first
+    element, an object, a string, an integer (sizes and seeds reach
+    numpy) or another number.  Objects are left to their own parsers."""
+    if isinstance(canonical, list):
+        return isinstance(value, list) and all(
+            _like(canonical[0], item) for item in value
+        )
+    if isinstance(canonical, (dict, str)):
+        return isinstance(value, type(canonical))
+    if isinstance(canonical, int):
+        return type(value) is int and is_metric_number(value)
+    return is_metric_number(value)
+
+
+def _shape_problem(doc: Dict[str, Any]) -> Optional[str]:
+    """Why a schema-tagged baseline cannot be checked, or ``None``: its
+    config must carry every key of its bench's canonical configuration,
+    and the run it configures checks the values."""
+    bench = doc.get("bench")
+    if not isinstance(bench, str) or bench not in BENCHES:
+        return f"unknown bench {bench!r} (want one of {sorted(BENCHES)})"
+    config = doc.get("config")
+    if not isinstance(config, dict):
+        return "config is not an object"
+    for key, canonical in BENCHES[bench].items():
+        if not _like(canonical, config.get(key)):
+            return f"config.{key} is not shaped like {canonical!r}"
+    for section in ("deterministic", "wallclock"):
+        values = doc.get(section, {})
+        if not isinstance(values, dict) or not all(
+            map(is_metric_number, values.values())
+        ):
+            return f"{section} is not an object of numbers"
+    return None
+
+
 def load_baseline(path: Union[str, Path]) -> Dict[str, Any]:
     """Load and validate a ``BENCH_*.json`` baseline.
 
     Raises
     ------
     ValueError
-        On unparseable JSON or a wrong schema tag (CLI exit code 2).
+        On unparseable JSON, a wrong schema tag, or a document
+        :func:`check_baseline` cannot run (CLI exit code 2).
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("schema") != BASELINE_SCHEMA:
         raise ValueError(
             f"{path}: not a baseline document (want schema {BASELINE_SCHEMA!r})"
         )
+    problem = _shape_problem(doc)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     return doc
 
 

@@ -33,6 +33,7 @@ import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.telemetry.artifacts import is_metric_number, read_json
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.observe import escape_label_value, natural_key
 
@@ -446,27 +447,67 @@ def observe_json(doc: Dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _numeric(state: Any, *fields: str) -> bool:
+    return isinstance(state, dict) and all(
+        is_metric_number(state.get(key)) for key in fields
+    )
+
+
+def _rows(rows: Any, *columns: Any) -> bool:
+    """Whether ``rows`` is a non-empty list of lists whose values pass
+    the ``columns`` checks (column by column: a mega-N bundle holds
+    close to a million heatmap cells)."""
+    return bool(rows) and isinstance(rows, list) and all(
+        type(row) is list and len(row) == len(columns) for row in rows
+    ) and all(
+        all(map(check, [row[i] for row in rows]))
+        for i, check in enumerate(columns)
+    )
+
+
+#: Per section, whether one instrument's state has the shape
+#: :func:`observation_document` writes.
+_STATE_OK = {
+    "counters": is_metric_number,
+    "timers": lambda state: _numeric(state, "calls"),
+    "histograms": lambda state: _numeric(
+        state, "count", "sum", "min", "max", "mean", "stddev", "p50", "p95",
+        "p99",
+    ),
+    "gauges": lambda state: _numeric(state, "value", "updates"),
+    "series": lambda state: _numeric(state, "dropped") and _rows(
+        state.get("samples"), is_metric_number, is_metric_number
+    ),
+    "heatmaps": lambda state: _numeric(state, "dropped") and _rows(
+        state.get("cells"),
+        lambda label: isinstance(label, str),
+        is_metric_number,
+        is_metric_number,
+    ),
+}
+
+
 def load_observation(path: Union[str, Path]) -> Dict[str, Any]:
     """Load and validate an ``observe.json`` document.
 
     Raises
     ------
     ValueError
-        On unparseable JSON, a wrong/missing schema tag, or a malformed
-        instrument-name point label (the CLI maps this to exit code 2).
+        On unparseable JSON, a wrong/missing schema tag, a malformed
+        instrument-name point label, or a state not shaped as
+        :func:`observation_document` writes it (CLI exit code 2).
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    doc = read_json(path)
     _require_document(doc)
     try:
-        for section in (
-            "counters", "timers", "histograms", "gauges", "series", "heatmaps"
-        ):
-            for name in doc.get(section, {}):
+        for section, state_ok in _STATE_OK.items():
+            states = doc.get(section, {})
+            if not isinstance(states, dict):
+                raise ValueError(f"{section} is not an object")
+            for name, state in states.items():
                 split_labels(name, strict=True)
+                if not state_ok(state):
+                    raise ValueError(f"malformed {section}[{name!r}]")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return doc

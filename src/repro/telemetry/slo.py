@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.telemetry.artifacts import read_json
 from repro.telemetry.metrics import nearest_rank
 from repro.telemetry.observe import point_label
 
@@ -175,16 +176,14 @@ def load_spec(path: Union[str, Path]) -> List[Objective]:
     """Load a spec file: ``.json`` via the JSON parser, anything else
     through the built-in TOML-subset reader."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON ({exc})") from exc
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: spec must be a JSON object")
     else:
-        data = _parse_mini_toml(text, source=str(path))
+        data = _parse_mini_toml(
+            path.read_text(encoding="utf-8"), source=str(path)
+        )
     return parse_spec(data)
 
 

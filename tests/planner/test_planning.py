@@ -146,31 +146,3 @@ class TestMinimalPlanner:
         # ...while the legacy loop still pays put-backs every pass
         assert plan.naive_cost.total > 0
 
-
-class TestGrowShrink:
-    def test_plan_shrink_prices_the_tail_drop(self):
-        chip = build_scenario("already-compact")
-        instance = chip.processors["p0"]
-        move = MinimalPlanner().plan_shrink(instance, 1)
-        # one junction unchained, nothing chained, no flits shipped
-        assert [op.kind for op in move.ops] == ["unchain"]
-        assert move.cost.config_flits == 0
-        assert move.saved > 0
-        assert len(move.new) == len(instance.region) - 1
-
-    def test_plan_shrink_validates_the_drop(self):
-        chip = build_scenario("already-compact")
-        instance = chip.processors["p0"]
-        with pytest.raises(PlannerError, match="cannot drop"):
-            MinimalPlanner().plan_shrink(instance, len(instance.region))
-
-    def test_plan_grow_relocates_onto_an_overlapping_run(self):
-        # head-slide: t0 sits behind a 2-cluster gap; growing it by 2
-        # has no adjacent free tail, but the run starting at the gap
-        # overlaps t0's own clusters, so the delta is small
-        chip = build_scenario("head-slide")
-        instance = chip.processors["t0"]
-        move = MinimalPlanner().plan_grow(chip, instance, 2)
-        assert move is not None
-        assert len(move.new) == len(instance.region) + 2
-        assert move.cost.total < move.naive_cost.total

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import __version__, telemetry
 from repro.__main__ import main
 from repro.telemetry import baseline
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture(autouse=True)
@@ -263,6 +266,60 @@ class TestObserveCommands:
         assert "malformed point label" in capsys.readouterr().err
 
 
+OBSERVE_DOC = {"schema": "repro.telemetry.observe/1", "title": "t"}
+
+
+class TestHostileArtifacts:
+    """An artifact of the right kind but the wrong shape exits 2 with
+    one stderr line naming the file: each loader checks the whole shape
+    its report reads, so a file it accepts renders."""
+
+    @pytest.mark.parametrize("command, document", [
+        ("trace-report", {"traceEvents": [1]}),
+        ("trace-report", {"traceEvents": [{
+            "ph": "X", "name": "s", "ts": 0,
+            "args": {"span_id": 1, "cycle_start": "a", "cycle_end": "b"},
+        }]}),
+        ("observe-report", {**OBSERVE_DOC, "counters": [1]}),
+        ("observe-report", {**OBSERVE_DOC, "gauges": {"x": 1}}),
+        ("observe-report", {**OBSERVE_DOC, "series": {"x": {"samples": []}}}),
+        ("profile", {
+            **OBSERVE_DOC, "histograms": {"profile.x": {"count": 1}},
+        }),
+        ("baseline check", {
+            "schema": baseline.BASELINE_SCHEMA, "bench": "fig3",
+        }),
+        ("baseline check", {
+            "schema": baseline.BASELINE_SCHEMA, "bench": "planner",
+            "config": {**baseline.BENCHES["planner"], "scenarios": ["nope"]},
+        }),
+        ("slo-report {examples}/slo.toml --records", {
+            "schema": "repro.service.records/1", "config": [], "records": [],
+        }),
+        # nested past the parser's recursion limit: raw text
+        ("observe-report", "[" * 100_000 + "]" * 100_000),
+    ], ids=[
+        "trace-event-not-object", "trace-text-cycles",
+        "observe-counters-list", "observe-gauge-number",
+        "observe-series-empty", "profile-histogram-short",
+        "baseline-no-config", "baseline-unknown-scenario",
+        "slo-records-config-list", "observe-nested-too-deep",
+    ])
+    def test_exits_2_naming_the_file(
+        self, command, document, capsys, tmp_path
+    ):
+        path = tmp_path / "artifact.json"
+        path.write_text(
+            document if isinstance(document, str) else json.dumps(document)
+        )
+        argv = command.format(examples=EXAMPLES).split() + [str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(path) in lines[0]
+
+
 class TestQuietFlag:
     def test_quiet_suppresses_fig3_banner(self, capsys, tmp_path):
         out = tmp_path / "obs"
@@ -330,6 +387,26 @@ PINNED_FAULTS_OBSERVE_SHA256 = {
         "90423fd40c3808e415648bc1af7d36e8a44cc3c3e75faea97eb3955aac4f563b",
     "series.csv":
         "6c3247dfa1e4b6de719fbca90c26b32e8895c784185f287c4347dfa7e03ec40f",
+}
+
+#: SHA-256 of the files ``service-load`` writes for these commands, run
+#: in-process; each maps an output flag to the digest of its file.  The
+#: load generator draws from ``random.Random``, not numpy, so these do
+#: not move with numpy's version.
+PINNED_SERVICE_SHA256 = {
+    "service-load --tenants 8 --requests 500 --rows 16 --cols 16 --seed 7": {
+        "--report":
+            "8f332ab06bc4c81730a7b7d8e68ec03f5d9a5a658085a03e5c654eb8f33a386b",
+    },
+    "service-load --tenants 4 --requests 12 --rps 500 --seed 42 "
+    "--slo {examples}/slo.toml": {
+        "--report":
+            "e6c164fa15c2974b4d4f7f7720ba84fce35a1a56567ec702be08eda71afd02d8",
+        "--trace":
+            "436964e392457d934a71be0c630e27e8140baedaf524885fb597507dcbeda88f",
+        "--records":
+            "011e86095b654d57cc944b81824b252eed93302825982a6ed1c474820bafefc3",
+    },
 }
 
 WORKER_COUNTS = ([], ["--workers", "2"])
@@ -502,6 +579,8 @@ class TestSweepArgumentErrors:
         ["defrag", "--max-passes", "-3"],
         ["defrag", "--scenario", "nope"],
         ["service-load", "--rps", "nan"],
+        ["fig3", "--seed", "-5"],
+        ["faults", "--seed", "-1"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main([*argv, "--quiet"]) == 2
@@ -646,7 +725,7 @@ class TestBaselineCommand:
         doc = tmp_path / "BENCH_faults.json"
         doc.write_text(json.dumps({
             "schema": baseline.BASELINE_SCHEMA, "bench": "faults",
-            "config": {}, "deterministic": {},
+            "config": baseline.BENCHES["faults"], "deterministic": {},
             "wallclock": {"points_per_s": 1e9},
         }))
         assert main(["baseline", "check", str(doc), *flags]) == 2
@@ -775,6 +854,19 @@ class TestServiceLoadCommand:
         assert main(self.ARGS + ["--quiet", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "profile.service.handle.seconds" in out
+
+    @pytest.mark.parametrize("command", sorted(PINNED_SERVICE_SHA256))
+    def test_outputs_match_pinned(self, command, capsys, tmp_path):
+        pins = PINNED_SERVICE_SHA256[command]
+        outputs = {flag: tmp_path / flag.lstrip("-") for flag in pins}
+        argv = command.format(examples=EXAMPLES).split() + ["--quiet"]
+        for flag, path in outputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert {
+            flag: _sha256(path.read_bytes()) for flag, path in outputs.items()
+        } == pins
 
 
 HOLDING_SLO = """\

@@ -4,11 +4,11 @@
 longest, free fold run?" on fold-order bitmasks, and every fold-run
 query reads :meth:`STopology.free_mask`.  The walks below are the
 object walks those queries replaced, kept here as the oracle: on drawn
-grids, ownership, defects, shard scopes and run lengths the allocator,
-:meth:`MinimalPlanner.plan_grow` and a slot-less
-:meth:`ResidentFabric.admit` must answer exactly as they did.  The bit
-primitives are checked against a bit-string scan, and a count guard
-pins that none of the queries walks :meth:`STopology.linear_order`.
+grids, ownership, defects, shard scopes and run lengths the allocator
+and a slot-less :meth:`ResidentFabric.admit` must answer exactly as they
+did.  The bit primitives are checked against a bit-string scan, and a
+count guard pins that none of the queries walks
+:meth:`STopology.linear_order`.
 """
 
 from typing import Collection, List, Optional, Tuple
@@ -18,12 +18,9 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import ClusterAllocator
 from repro.core.defrag import simulate_compaction
-from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
+from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import AdmissionError, RegionError
-from repro.planner import MinimalPlanner
-from repro.planner.cost import delta_move
 from repro.planner.exact import search_exact
-from repro.planner.plan import RegionMove
 from repro.service.fabric import ResidentFabric
 from repro.service.server import FabricService
 from repro.topology.folding import first_run, longest_run, run_starts
@@ -69,33 +66,6 @@ def walk_find_serpentine(
         else:
             run = []
     return None
-
-
-def walk_plan_grow(
-    vlsi: VLSIProcessor,
-    instance: ProcessorInstance,
-    extra: int,
-    within: Optional[Collection[Coord]] = None,
-) -> Optional[RegionMove]:
-    fabric = vlsi.fabric
-    own = set(instance.region.path)
-    size = len(instance.region) + extra
-    best: Optional[RegionMove] = None
-    run: List[Coord] = []
-    for coord in fabric.linear_order():
-        if (within is None or coord in within) and (
-            fabric.cluster(coord).is_free or coord in own
-        ):
-            run.append(coord)
-        else:
-            run = []
-        if len(run) >= size:
-            move = delta_move(
-                instance.name, instance.region, path_region(run[-size:])
-            )
-            if best is None or move.cost.total < best.cost.total:
-                best = move
-    return best
 
 
 def walk_first_unsharded_run(
@@ -173,9 +143,9 @@ def chips(draw):
     return vlsi, scope, n
 
 
-@given(chip=chips(), extra=st.integers(1, 6))
+@given(chip=chips())
 @settings(max_examples=200, deadline=None)
-def test_allocator_and_plan_grow_match_the_walks(chip, extra):
+def test_allocator_matches_the_walks(chip):
     vlsi, scope, n = chip
     fabric = vlsi.fabric
     allocator = ClusterAllocator(fabric)
@@ -187,10 +157,6 @@ def test_allocator_and_plan_grow_match_the_walks(chip, extra):
         assert allocator.find_serpentine(n, within) == walk_find_serpentine(
             fabric, n, within
         )
-        for instance in vlsi.processors.values():
-            assert MinimalPlanner().plan_grow(
-                vlsi, instance, extra, within
-            ) == walk_plan_grow(vlsi, instance, extra, within)
 
 
 @given(
@@ -261,7 +227,6 @@ def test_fold_run_queries_never_walk_linear_order(monkeypatch):
         allocator.free_count(within)
         allocator.largest_free_run(within)
         allocator.find_serpentine(3, within)
-        MinimalPlanner().plan_grow(vlsi, vlsi.processor("p1"), 2, within)
     schedule = simulate_compaction(vlsi)
     search_exact(schedule, seed_cost=10 ** 6)
     resident.admit("a", 8)

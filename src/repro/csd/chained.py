@@ -167,6 +167,8 @@ class ChainedCSD:
                     surviving = self.faults.filter_csd_channels(
                         surviving, span.lo, span.hi,
                         domain=net.fault_domain,
+                        n_channels=len(net.pool),
+                        n_segments=net.pool.n_segments,
                     )
                 granted = net.encoder.grant(surviving)
                 if granted is None:

@@ -146,7 +146,8 @@ class DynamicCSDNetwork:
         # repro.faults.recovery re-broadcasts after a backoff)
         if self.faults is not None:
             healthy = self.faults.filter_csd_channels(
-                surviving, span.lo, span.hi, domain=self.fault_domain
+                surviving, span.lo, span.hi, domain=self.fault_domain,
+                n_channels=len(self.pool), n_segments=self.pool.n_segments,
             )
             if len(healthy) < len(surviving):
                 telemetry.counter("csd.connect.fault_drops").inc(

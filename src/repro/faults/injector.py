@@ -12,6 +12,17 @@ corrupted.
 One injector is wired into every hook of one simulated chip (the CSD
 networks, the router network, the wormhole configurator), so a single
 fault ledger spans all layers — exactly how one physical defect would.
+
+The CSD channel filter, the campaign's hottest hook, reads bitmasks:
+the segment is the fault unit (section 2.6.2's completely segmented
+channels), so each channel of a CSD domain keeps one mask of the
+segments that can still fault — the plan's drawn faults, from
+:meth:`~repro.faults.model.FaultPlan.csd_fault_masks`, OR the
+domain's quarantined segments, with a bit cleared once its transient
+fault heals.  A candidate channel whose mask misses the span survives
+with no ledger work; only the set bits run the per-site trigger logic,
+in ascending segment order, so counters, the ledger and the trace
+instants come out as a per-site walk of every segment would give them.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from repro.faults.model import (
     csd_segment_site,
     junction_site,
     noc_link_site,
+    parse_csd_segment_site,
     worm_flit_site,
 )
 
@@ -52,6 +64,9 @@ class FaultInjector:
         self._healed: set = set()
         #: sites quarantined by the degradation layer (always faulty)
         self._quarantined: set = set()
+        #: (seed, CSD rate, domain, n_channels, n_segments) -> per-channel
+        #: masks of the segments that can fault; see filter_csd_channels
+        self._csd_masks: Dict[Tuple, List[int]] = {}
 
     # -- core trigger logic ------------------------------------------------
 
@@ -119,33 +134,65 @@ class FaultInjector:
         extended defect injector routes around it)."""
         self._quarantined.add(site)
         telemetry.counter("faults.quarantined").inc()
+        parts = parse_csd_segment_site(site)
+        if parts is not None:
+            for key, masks in self._csd_masks.items():
+                _mark(masks, key[2:], parts)
 
     # -- per-layer queries (the hook API) ----------------------------------
 
-    def csd_channel_blocked(
-        self, channel: int, lo: int, hi: int, domain: str = "csd"
-    ) -> bool:
-        """Whether any segment of ``channel`` in ``[lo, hi)`` faults when
-        the request broadcast crosses it.  Every faulty segment in the
-        span is triggered (the request exercised them all)."""
-        blocked = False
-        for segment in range(lo, hi):
-            if self._active(
-                FaultKind.CSD_SEGMENT, csd_segment_site(domain, channel, segment)
-            ):
-                blocked = True
-        return blocked
-
     def filter_csd_channels(
-        self, channels: Iterable[int], lo: int, hi: int, domain: str = "csd"
+        self,
+        channels: Iterable[int],
+        lo: int,
+        hi: int,
+        domain: str = "csd",
+        *,
+        n_channels: int,
+        n_segments: int,
     ) -> List[int]:
         """The surviving-channel filter for the Figure 2 broadcast: drop
-        every candidate channel with an active segment fault on the span."""
-        return [
-            ch
-            for ch in channels
-            if not self.csd_channel_blocked(ch, lo, hi, domain=domain)
-        ]
+        every candidate channel with an active segment fault on the span
+        ``[lo, hi)``.  Every faulty segment in the span is triggered (the
+        request exercised them all), channel by channel in the given
+        order and segment by segment upwards.  ``n_channels`` and
+        ``n_segments`` are the geometry of the domain's channel pool;
+        every candidate is one of its channels."""
+        masks = self._live_csd_masks(domain, n_channels, n_segments)
+        span = ((1 << (hi - lo)) - 1) << lo
+        surviving = []
+        for channel in channels:
+            hits = masks[channel] & span
+            blocked = False
+            while hits:
+                bit = hits & -hits
+                hits ^= bit
+                site = csd_segment_site(domain, channel, bit.bit_length() - 1)
+                if self._active(FaultKind.CSD_SEGMENT, site):
+                    blocked = True
+                else:  # healed: it never faults again unless quarantined
+                    masks[channel] &= ~bit
+            if not blocked:
+                surviving.append(channel)
+        return surviving
+
+    def _live_csd_masks(
+        self, domain: str, n_channels: int, n_segments: int
+    ) -> List[int]:
+        plan = self.plan
+        key = (
+            plan.seed, plan.rate_for(FaultKind.CSD_SEGMENT),
+            domain, n_channels, n_segments,
+        )
+        masks = self._csd_masks.get(key)
+        if masks is None:
+            masks = plan.csd_fault_masks(domain, n_channels, n_segments)
+            for site in self._quarantined:
+                parts = parse_csd_segment_site(site)
+                if parts is not None:
+                    _mark(masks, key[2:], parts)
+            self._csd_masks[key] = masks
+        return masks
 
     def junction_fault(self, index: int) -> bool:
         """Whether ChainedCSD junction ``index`` misbehaves on crossing."""
@@ -191,3 +238,14 @@ class FaultInjector:
 
     def total_triggers(self) -> int:
         return sum(self._triggers.values())
+
+
+def _mark(
+    masks: List[int], geometry: Tuple[str, int, int], parts: Tuple[str, int, int]
+) -> None:
+    """Set the bit of the CSD segment ``parts`` in the masks of the
+    domain and geometry ``geometry``, if it lies there."""
+    domain, n_channels, n_segments = geometry
+    site_domain, channel, segment = parts
+    if site_domain == domain and channel < n_channels and segment < n_segments:
+        masks[channel] |= 1 << segment

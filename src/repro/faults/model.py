@@ -27,24 +27,36 @@ Every fault is **transient** (heals after a bounded number of triggers —
 a particle strike, a marginal timing path) or **permanent** (a
 manufacturing defect: the resource never comes back).
 
-A :class:`FaultPlan` is the seeded source of truth.  Draws are made
-lazily, **keyed by the fault site** (a stable string), with a per-site
-RNG derived from ``(seed, crc32(site))`` — so whether a site is faulty
-never depends on query order, process boundaries, or how many other
-sites were examined first.  That property is what makes the Monte-Carlo
-campaign bit-identical between ``--workers 1`` and ``--workers N``.
-The hooks ask about the same sites over and over (a fault campaign asks
-about each distinct site about eight times), so each plan memoizes its
-answers, keyed by every input of the draw; a memoized answer is the one
-a fresh derivation would give.
+A :class:`FaultPlan` is the seeded source of truth.  Draws are **keyed
+by the fault site** (a stable string), with a per-site RNG derived from
+``(seed, crc32(site))`` — so whether a site is faulty never depends on
+query order, process boundaries, or how many other sites were examined
+first.  That property is what makes the Monte-Carlo campaign
+bit-identical between ``--workers 1`` and ``--workers N``.  Each plan
+memoizes its answers, keyed by every input of the draw; a memoized
+answer is the one a fresh derivation would give.
+
+Sites are drawn lazily, one generator each, except the CSD segments:
+:meth:`FaultPlan.csd_fault_masks` derives a fault domain's whole
+(channel, segment) grid in one batch, once per injector and domain.
+:func:`first_uniforms` computes every site generator's first
+``random()`` in numpy arithmetic, mirroring numpy's
+documented ``SeedSequence`` and ``PCG64`` algorithms, and only the
+sites below the rate (a ``rate`` share of them) build a generator for
+their transient bit and duration.  The first draw alone decides whether
+a site is faulty, so mirroring it is exact; the oracle in
+``tests/faults/test_batch_draw.py`` holds the batch to
+``np.random.default_rng`` and fails if a numpy release changes the
+streams (NEP 19 allows that between feature releases).
 """
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,7 +64,9 @@ __all__ = [
     "FaultKind",
     "Fault",
     "FaultPlan",
+    "first_uniforms",
     "csd_segment_site",
+    "parse_csd_segment_site",
     "junction_site",
     "chain_switch_site",
     "noc_link_site",
@@ -135,6 +149,8 @@ class FaultPlan:
         for kind, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {kind} must be in [0, 1]")
+        if int(seed) < 0:
+            raise ValueError("fault plan seed must be non-negative")
         self.seed = int(seed)
         self.default_rate = float(default_rate)
         self.rates: Dict[FaultKind, float] = {
@@ -194,10 +210,47 @@ class FaultPlan:
             self._draws[key] = self._derive(kind, site, rate)
         return self._draws[key]
 
-    def _derive(self, kind: FaultKind, site: str, rate: float) -> Optional[Fault]:
-        rng = np.random.default_rng(
-            (self.seed, zlib.crc32(f"{kind.value}:{site}".encode("utf-8")))
+    def csd_fault_masks(
+        self, domain: str, n_channels: int, n_segments: int
+    ) -> List[int]:
+        """Per-channel bitmasks of the faulty segments of one CSD domain.
+
+        Bit ``s`` of entry ``c`` is set iff ``draw(CSD_SEGMENT,
+        csd_segment_site(domain, c, s))`` is not None.  The whole grid is
+        derived in one batch, and the :meth:`draw` answer of every
+        faulty site is memoized; a healthy site stays out of the memo,
+        since the filter that reads these masks never asks about it.  A
+        rate-0 plan touches no RNG.
+        """
+        kind = FaultKind.CSD_SEGMENT
+        rate = self.rate_for(kind)
+        masks = [0] * n_channels
+        if rate == 0.0:
+            return masks
+        crcs = np.fromiter(
+            (
+                _site_crc(kind, csd_segment_site(domain, channel, segment))
+                for channel in range(n_channels)
+                for segment in range(n_segments)
+            ),
+            dtype=np.uint32,
+            count=n_channels * n_segments,
         )
+        knobs = (self.seed, rate, self.transient_fraction, self.transient_hits)
+        faulty = np.flatnonzero(first_uniforms(self.seed, crcs) < rate)
+        for index in faulty.tolist():
+            channel, segment = divmod(index, n_segments)
+            masks[channel] |= 1 << segment
+            site = csd_segment_site(domain, channel, segment)
+            key = knobs + (kind, site)
+            if key not in self._draws:
+                # the transient bit and duration come from the site's own
+                # generator, as in draw()
+                self._draws[key] = self._derive(kind, site, rate)
+        return masks
+
+    def _derive(self, kind: FaultKind, site: str, rate: float) -> Optional[Fault]:
+        rng = np.random.default_rng((self.seed, _site_crc(kind, site)))
         if rng.random() >= rate:
             return None
         transient = bool(rng.random() < self.transient_fraction)
@@ -238,12 +291,188 @@ class FaultPlan:
         )
 
 
+def _site_crc(kind: FaultKind, site: str) -> int:
+    """The entropy word a site adds to the plan seed."""
+    return zlib.crc32(f"{kind.value}:{site}".encode("utf-8"))
+
+
+# -- the batched first draw ----------------------------------------------------
+#
+# ``np.random.default_rng((seed, crc)).random()`` for many ``crc`` at once.
+# Every step follows numpy's documented algorithms, in uint32 arrays for
+# SeedSequence and in uint64 arrays of 32-bit limbs for PCG64's 128-bit
+# state (Python ints over a whole grid cost more memory):
+#
+# * ``SeedSequence((seed, crc))``: the entropy is the seed's 32-bit words
+#   (least significant first; 0 is one word) followed by ``crc``, mixed
+#   into a pool of four words (``mix_entropy``), then expanded by
+#   ``generate_state(4, np.uint64)``;
+# * ``PCG64``: ``initstate`` is state words 0:1, the increment is
+#   ``(words 2:3 << 1) | 1``, and seeding takes two LCG steps
+#   (``pcg_setseq_128_srandom_r``);
+# * ``random()``: one more LCG step, the XSL-RR output, and
+#   ``(out >> 11) * 2**-53``.
+
+_MASK32 = 0xFFFFFFFF
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+#: PCG64's 128-bit LCG multiplier as 32-bit limbs, least significant first.
+_PCG_MULT = tuple(
+    (0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _MASK32 for i in range(4)
+)
+_LIMB = np.uint64(_MASK32)
+_SHIFT = np.uint64(32)
+
+
+def _seed_words(value: int) -> List[int]:
+    """SeedSequence's 32-bit words of a non-negative int."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_pool(entropy: List[np.ndarray]) -> List[np.ndarray]:
+    """``SeedSequence.mix_entropy``, one column per site."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else zero)
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _state_words(pool: List[np.ndarray]) -> List[np.ndarray]:
+    """``SeedSequence.generate_state(4, np.uint64)`` as eight uint32
+    words, each 64-bit word's low half first."""
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> np.uint32(16)))
+    return words
+
+
+def _carry(limbs: List[np.ndarray]) -> List[np.ndarray]:
+    """Normalise four uint64 limb sums to 32-bit limbs, mod 2**128."""
+    out = []
+    carry = np.uint64(0)
+    for limb in limbs:
+        total = limb + carry
+        out.append(total & _LIMB)
+        carry = total >> _SHIFT
+    return out
+
+
+def _lcg_step(state: List[np.ndarray], inc: List[np.ndarray]) -> List[np.ndarray]:
+    """``state * _PCG_MULT + inc`` mod 2**128, on 32-bit limbs."""
+    acc = list(inc)
+    for i in range(4):
+        for j in range(4 - i):
+            product = state[i] * np.uint64(_PCG_MULT[j])
+            acc[i + j] = acc[i + j] + (product & _LIMB)
+            if i + j < 3:
+                acc[i + j + 1] = acc[i + j + 1] + (product >> _SHIFT)
+    return _carry(acc)
+
+
+def first_uniforms(seed: int, crcs: Sequence[int]) -> np.ndarray:
+    """``np.random.default_rng((seed, crc)).random()`` for every ``crc``.
+
+    ``seed`` is a non-negative int of any size and every ``crc`` a
+    32-bit word, as :meth:`FaultPlan.draw` builds its generators.  The
+    work runs in chunks of :data:`_CHUNK` sites, so its temporaries stay
+    small next to the plan's memo.
+    """
+    crc = np.asarray(crcs, dtype=np.uint32)
+    out = np.empty(crc.shape, dtype=np.float64)
+    for start in range(0, len(crc), _CHUNK):
+        out[start:start + _CHUNK] = _first_uniforms(
+            seed, crc[start:start + _CHUNK]
+        )
+    return out
+
+
+#: Sites per batch step of first_uniforms.
+_CHUNK = 512
+
+
+def _first_uniforms(seed: int, crc: np.ndarray) -> np.ndarray:
+    entropy = [
+        np.full(crc.shape, word, dtype=np.uint32) for word in _seed_words(seed)
+    ]
+    words = [
+        w.astype(np.uint64)
+        for w in _state_words(_seed_pool(entropy + [crc]))
+    ]
+    # initstate = w0:w1, initseq = w2:w3 (64-bit words, high first)
+    initstate = [words[2], words[3], words[0], words[1]]
+    initseq = [words[6], words[7], words[4], words[5]]
+    one = np.uint64(1)
+    inc = [((initseq[0] << one) | one) & _LIMB] + [
+        ((initseq[k] << one) | (initseq[k - 1] >> np.uint64(31))) & _LIMB
+        for k in range(1, 4)
+    ]
+    # srandom steps once from state 0 (giving inc), adds initstate and
+    # steps again; random() steps once more before its output
+    state = _carry([a + b for a, b in zip(inc, initstate)])
+    state = _lcg_step(_lcg_step(state, inc), inc)
+    high = (state[3] << _SHIFT) | state[2]
+    low = (state[1] << _SHIFT) | state[0]
+    rot = state[3] >> np.uint64(26)
+    xored = high ^ low
+    out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+    return (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 #: Site-key helpers — one format per fault kind, shared by every hook so
 #: the same physical resource always maps to the same draw.
 
 def csd_segment_site(domain: str, channel: int, segment: int) -> str:
     """A single-hop segment of one channel in one CSD fault domain."""
     return f"{domain}/ch{channel}/seg{segment}"
+
+
+_CSD_SITE = re.compile(r"(.*)/ch(0|[1-9][0-9]*)/seg(0|[1-9][0-9]*)", re.DOTALL)
+
+
+def parse_csd_segment_site(site: str) -> Optional[Tuple[str, int, int]]:
+    """``(domain, channel, segment)`` if :func:`csd_segment_site` of
+    those gives ``site``, else None."""
+    match = _CSD_SITE.fullmatch(site)
+    if match is None:
+        return None
+    return match.group(1), int(match.group(2)), int(match.group(3))
 
 
 def junction_site(index: int) -> str:

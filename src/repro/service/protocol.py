@@ -87,6 +87,10 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame payload is not JSON: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError(
+            "frame payload is nested too deeply to parse"
+        ) from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(message).__name__}"

@@ -60,19 +60,28 @@ class TestTriggerLogic:
         assert telemetry.counter("faults.permanent.triggered").value == 2
 
 
+#: The channel-pool geometry the filter tests pass: 16 channels of 8
+#: segments.
+GEOMETRY = dict(n_channels=16, n_segments=8)
+
+
 class TestChannelFilter:
     def test_fault_free_filter_is_identity(self):
         inj = FaultInjector(FaultPlan.none())
-        assert inj.filter_csd_channels([0, 1, 2], 0, 4) == [0, 1, 2]
+        assert inj.filter_csd_channels([0, 1, 2], 0, 4, **GEOMETRY) == [0, 1, 2]
 
     def test_full_rate_drops_everything(self):
         inj = FaultInjector(FaultPlan.uniform(1, 1.0, transient_fraction=0.0))
-        assert inj.filter_csd_channels([0, 1, 2], 0, 4) == []
+        assert inj.filter_csd_channels([0, 1, 2], 0, 4, **GEOMETRY) == []
 
     def test_domains_are_independent_fault_spaces(self):
         inj = FaultInjector(FaultPlan.uniform(11, 0.5, transient_fraction=0.0))
-        a = inj.filter_csd_channels(list(range(16)), 0, 4, domain="seg0")
-        b = inj.filter_csd_channels(list(range(16)), 0, 4, domain="seg1")
+        a = inj.filter_csd_channels(
+            list(range(16)), 0, 4, domain="seg0", **GEOMETRY
+        )
+        b = inj.filter_csd_channels(
+            list(range(16)), 0, 4, domain="seg1", **GEOMETRY
+        )
         assert a != b  # overwhelmingly likely at rate 0.5 over 16 channels
 
 

@@ -41,6 +41,17 @@ class TestFaultPlanBasics:
         with pytest.raises(ValueError):
             FaultPlan(rates={FaultKind.SWITCH: rate})
 
+    @pytest.mark.parametrize("build", [
+        lambda: FaultPlan(seed=-1),
+        lambda: FaultPlan.uniform(-1, 0.5),
+        lambda: FaultPlan.from_dict({"seed": -7, "default_rate": 0.0}),
+    ], ids=["init", "uniform", "from_dict"])
+    def test_negative_seed_rejected(self, build):
+        """A negative seed fails when the plan is built, not at its
+        first draw, and also when no draw would ever happen (rate 0)."""
+        with pytest.raises(ValueError, match="seed"):
+            build()
+
     def test_bad_transient_knobs_rejected(self):
         with pytest.raises(ValueError):
             FaultPlan(transient_fraction=1.5)

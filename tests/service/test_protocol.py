@@ -54,6 +54,11 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_payload(b"[1,2,3]")
 
+    def test_deeply_nested_payload_rejected(self):
+        # 20 KB, far under the frame cap, but past the parser's recursion
+        with pytest.raises(ProtocolError, match="nested too deeply"):
+            decode_payload(b"[" * 10_000 + b"]" * 10_000)
+
     def test_read_frame_round_trip(self):
         message = make_request("hello", "t00", 0, 0, clusters=4)
         frame = encode_frame(message)

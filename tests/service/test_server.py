@@ -1,6 +1,7 @@
 """Request handling, virtual clocks, rejections, disconnect cleanup."""
 
 import asyncio
+import struct
 
 import pytest
 
@@ -283,6 +284,39 @@ class TestTCP:
                 assert await reader.read() == b""  # server hung up
                 writer.close()
                 await writer.wait_closed()
+
+        asyncio.run(go())
+
+    def test_deeply_nested_frame_reports_and_hangs_up(self):
+        """A frame nested past the parser's recursion limit gets the one
+        error frame of a corrupt stream, and the server keeps serving."""
+        from repro.service.protocol import read_frame
+
+        svc = service()
+        payload = b"[" * 10_000 + b"]" * 10_000
+
+        async def go():
+            async with FabricServer(svc) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(struct.pack(">I", len(payload)) + payload)
+                await writer.drain()
+                response = await read_frame(reader)
+                assert response is not None
+                assert not response["ok"]
+                assert response["error"]["kind"] == "ProtocolError"
+                assert await reader.read() == b""  # server hung up
+                writer.close()
+                await writer.wait_closed()
+                client = await TCPClient.connect(server.host, server.port)
+                try:
+                    hello = await client.request(
+                        make_request("hello", "t0", 0, 0, clusters=4, slot=0)
+                    )
+                finally:
+                    await client.close()
+                assert hello["ok"]
 
         asyncio.run(go())
 

@@ -357,6 +357,17 @@ PINNED_SHA256 = {
         "7978e7c33c184bdfb17b71a822dd81ffaa7c33ea8b7d003fd4fb6dd687adc6a3",
 }
 
+#: SHA-256 of the ``--trace`` file these ``faults ... --quiet`` commands
+#: wrote with numpy 2.4.6, before the CSD fault filter read bitmasks: the
+#: order of the ``fault.triggered`` and ``fault.healed`` instants must not
+#: move.
+PINNED_FAULTS_TRACE_SHA256 = {
+    "faults --trials 2 --n-objects 16 32":
+        "015a074faa7bcfad1dbbd4a3f33e4432b7bf582ccdcbb18dbcbbe5a1df2a92ba",
+    "faults --rates 0.05 0.2 --n-objects 64 --trials 2":
+        "f757ca05e68480c5616825dace24e9694a508ea192b5f22a17a699367d61ebcc",
+}
+
 #: The same, for each file of ``fig3 --n-objects 64 --trials 2 --quiet
 #: --observe DIR``.
 PINNED_OBSERVE_SHA256 = {
@@ -556,6 +567,15 @@ class TestVectorKernelFlag:
         assert _pinned_report(
             capsys, tmp_path, self.FAULTY, extra
         ) == PINNED_SHA256[self.FAULTY]
+
+    @pytest.mark.parametrize("command", sorted(PINNED_FAULTS_TRACE_SHA256))
+    def test_faults_trace_matches_pinned(self, capsys, tmp_path, command):
+        trace = tmp_path / "trace.json"
+        assert main(
+            [*command.split(), "--quiet", "--trace", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        assert _sha256(trace.read_bytes()) == PINNED_FAULTS_TRACE_SHA256[command]
 
 
 class TestSweepArgumentErrors:

@@ -42,6 +42,7 @@ from repro.costmodel.areas import (
     physical_object_budget,
 )
 from repro.costmodel.performance import table4
+from repro.csd.locality import MAX_OBJECTS
 
 __all__ = ["main"]
 
@@ -94,6 +95,9 @@ def _sweep_arg_error(
     small = [n for n in n_objects if n < 2]
     if small:
         return f"--n-objects must each be at least 2 (got {small[0]})"
+    big = [n for n in n_objects if n >= MAX_OBJECTS]
+    if big:
+        return f"--n-objects must each be below {MAX_OBJECTS} (got {big[0]})"
     if workers is not None and workers < 1:
         return f"--workers must be at least 1 (got {workers})"
     if seed < 0:

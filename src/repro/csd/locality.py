@@ -23,28 +23,36 @@ realised locality of a generated configuration is reported as the mean
 |source − sink| dependency distance normalised by N.
 
 A seed fixes every request: they are the values of one scalar
-``Generator.integers`` call per sink and per offset try.  Each
-:meth:`LocalityWorkload.requests` or ``requests_two_source`` call draws
-them from one bulk tape of the generator's 32-bit words instead,
-because a scalar call costs more than its arithmetic, and leaves the
-generator where the scalar calls would.  ``tests/csd/test_draw_oracle.py``
-keeps the scalar draw as the reference.
+``Generator.integers`` call per sink and per offset try.
+:meth:`LocalityWorkload.draw` makes them from one bulk tape of the
+generator's 32-bit words instead, because a scalar call costs more than
+its arithmetic, and leaves the generator where the scalar calls would.
+It evaluates the bounded draw on the whole tape at once and returns
+columns — an int64 sink column and one source column per source — which
+both trial paths read without building a request object;
+:meth:`~LocalityWorkload.requests`, ``requests_two_source`` and
+:meth:`~LocalityWorkload.stream` are :class:`ChainingRequest` views of
+the same columns.  ``tests/csd/test_draw_oracle.py`` keeps the scalar
+draw as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["ChainingRequest", "LocalityWorkload"]
+__all__ = ["ChainingRequest", "LocalityWorkload", "MAX_OBJECTS"]
 
 _WORD = 1 << 32  # one draw word: numpy's bounded draws below 2**32 use 32 bits
 _LOW = _WORD - 1
-#: From this ``n_objects`` on, the offset range ``2 * spread + 1`` can pass
-#: 2**32, where numpy leaves the 32-bit method ``_resolve`` reproduces.
-_MAX_OBJECTS = 1 << 31
+#: Arrays must hold fewer objects than this.  From here on the offset range
+#: ``2 * spread + 1`` can pass 2**32, where numpy leaves the 32-bit method
+#: :meth:`LocalityWorkload.draw` reproduces.
+MAX_OBJECTS = 1 << 31
+#: Offset tries per source before the walk to the nearest distinct position.
+_TRIES = 64
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,13 @@ class ChainingRequest:
         return (self.source, self.source2)
 
 
+def _next_true(ok: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """For every position ``p``, the first ``q >= p`` where ``ok`` holds;
+    the last position (which must not hold) where none does."""
+    at = np.where(ok, index, len(ok) - 1)
+    return np.minimum.accumulate(at[::-1])[::-1]
+
+
 class LocalityWorkload:
     """Generates random datapath configurations with controlled locality.
 
@@ -88,8 +103,8 @@ class LocalityWorkload:
     def __init__(self, n_objects: int, locality: float, seed: Optional[int] = None):
         if n_objects < 2:
             raise ValueError("need at least two objects")
-        if n_objects >= _MAX_OBJECTS:
-            raise ValueError(f"need fewer than {_MAX_OBJECTS} objects")
+        if n_objects >= MAX_OBJECTS:
+            raise ValueError(f"need fewer than {MAX_OBJECTS} objects")
         if not 0.0 <= locality <= 1.0:
             raise ValueError("locality must be in [0, 1]")
         self.n_objects = n_objects
@@ -104,11 +119,7 @@ class LocalityWorkload:
         first configured once as a sink, matching a fully configured
         linear datapath.
         """
-        if n_requests is None:
-            n_requests = self.n_objects - 1
-        if n_requests < 1:
-            raise ValueError("need at least one request")
-        return self._draw(n_requests, 1)
+        return _views(self.draw(n_requests))
 
     def requests_two_source(
         self, n_requests: Optional[int] = None
@@ -118,25 +129,33 @@ class LocalityWorkload:
         operator's operands).  Channel demand roughly doubles, which is
         why the paper evaluates the one-source model first.
         """
+        return _views(self.draw(n_requests, two_source=True))
+
+    def draw(
+        self, n_requests: Optional[int] = None, two_source: bool = False
+    ) -> Tuple[np.ndarray, ...]:
+        """The requests of :meth:`requests` (or, with ``two_source``,
+        :meth:`requests_two_source`) as int64 columns: ``(sinks, sources)``
+        or ``(sinks, sources, sources2)``, row ``t`` being request ``t``.
+
+        The columns come from one bulk tape of the generator's 32-bit
+        words, and the generator is left where the scalar draws would
+        leave it.
+        """
         if n_requests is None:
             n_requests = self.n_objects - 1
         if n_requests < 1:
             raise ValueError("need at least one request")
-        return self._draw(n_requests, 2)
-
-    def _draw(self, n_requests: int, n_sources: int) -> List[ChainingRequest]:
-        """Draw ``n_requests`` requests of ``n_sources`` sources each from
-        one bulk tape of the generator's 32-bit words, leaving the
-        generator where the scalar draws would leave it."""
+        n_sources = 2 if two_source else 1
         rng = self._rng
         start = rng.bit_generator.state
         # one word per sink and at most about 1.5 per source (an offset
         # landing on the sink is redrawn); tiny arrays can need more
         size = n_requests * (1 + 2 * n_sources) + 64
         while True:
-            tape = rng.integers(0, _WORD, size=size, dtype=np.uint32).tolist()
+            tape = rng.integers(0, _WORD, size=size, dtype=np.uint32)
             try:
-                out, used = self._resolve(tape, n_requests, n_sources)
+                columns, used = self._columns(tape, n_requests, n_sources)
                 break
             except IndexError:  # the draw outran the tape: draw a longer one
                 rng.bit_generator.state = start
@@ -144,12 +163,13 @@ class LocalityWorkload:
         # rewind, then consume exactly the words the requests used
         rng.bit_generator.state = start
         rng.integers(0, _WORD, size=used, dtype=np.uint32)
-        return out
+        return columns
 
-    def _resolve(
-        self, tape: List[int], n_requests: int, n_sources: int
-    ) -> Tuple[List[ChainingRequest], int]:
-        """The requests a word tape yields, and how many words they used.
+    def _columns(
+        self, tape: np.ndarray, n_requests: int, n_sources: int
+    ) -> Tuple[Tuple[np.ndarray, ...], int]:
+        """The request columns a word tape yields, and how many words
+        they used.
 
         Each value is Lemire's bounded draw, the one numpy's scalar
         ``integers(low, high)`` makes for a range of ``width`` below
@@ -159,47 +179,113 @@ class LocalityWorkload:
         to 64 times until it differs from the sink, then walks to the
         nearest distinct position (the pathological corner of a tiny
         array whose clamp target is the sink).
+
+        Both bounded draws are evaluated at every tape position at once.
+        For a sink strictly inside ``(0, N-1)`` an offset differs from
+        the sink exactly when it is nonzero, so such a request is its
+        sink's next accepted word, then for each source the next
+        accepted nonzero offset (unless 64 accepted tries come first):
+        the position where the next request starts follows from the
+        position where this one starts in a few array lookups.  The
+        requests are chained through that array; a request it cannot
+        chain (a sink at either end, the 64-try fallback, the end of the
+        tape) is resolved on its own, and raises ``IndexError`` when it
+        runs off the tape.
         """
         n = self.n_objects
         last = n - 1
         spread = self.spread
         width = 2 * spread + 1
-        sink_floor = _WORD % n
-        offset_floor = _WORD % width
-        out: List[ChainingRequest] = []
-        i = 0
-        for _ in range(n_requests):
-            m = tape[i] * n
-            i += 1
-            while m & _LOW < sink_floor:
-                m = tape[i] * n
-                i += 1
-            sink = m >> 32
-            sources = []
+        words = tape.astype(np.uint64)
+        size = len(words) - 1  # the last word stands past the tape: no draw accepts it
+        index = np.arange(len(words))
+        m = words * np.uint64(n)
+        sink_ok = (m & _LOW) >= _WORD % n
+        sink_val = (m >> 32).view(np.int64)
+        m = words * np.uint64(width)
+        off_ok = (m & _LOW) >= _WORD % width
+        off_val = (m >> 32).view(np.int64)  # offset + spread
+        sink_ok[size] = off_ok[size] = False
+        next_sink = _next_true(sink_ok, index)
+        # from position ``s``: the next accepted nonzero offset, if at
+        # most 64 accepted tries reach it, else -1
+        nonzero = _next_true(off_ok & (off_val != spread), index)
+        counted = np.cumsum(off_ok)
+        tries = counted[nonzero] - counted + off_ok
+        found = np.where((nonzero < size) & (tries <= _TRIES), nonzero, -1)
+        # per sink position: where its last source's word lies, or -1
+        inner = sink_ok & (sink_val > 0) & (sink_val < last)
+        after = np.append(found[1:], -1)  # found[s + 1]
+        ends = [np.where(inner, after, -1)]
+        for _ in range(n_sources - 1):
+            ends.append(np.where(ends[-1] >= 0, found[ends[-1] + 1], -1))
+        # next request's start per start position; 0 (never a next start,
+        # which lies past a sink and a source) marks one to resolve alone
+        hop = (ends[-1] + 1)[next_sink].tolist()
+
+        def alone(p: int) -> Tuple[List[int], int]:
+            """The request starting at position ``p``, resolved word by
+            word, and the position after it."""
+            p = int(next_sink[p])
+            if p == size:
+                raise IndexError("the draw outran the tape")
+            sink = int(sink_val[p])
+            row = [sink]
             for _ in range(n_sources):
-                for _ in range(64):
-                    m = tape[i] * width
-                    i += 1
-                    while m & _LOW < offset_floor:
-                        m = tape[i] * width
-                        i += 1
-                    source = min(max(sink + (m >> 32) - spread, 0), last)
+                for _ in range(_TRIES):
+                    p += 1
+                    while p < size and not off_ok[p]:
+                        p += 1
+                    if p == size:
+                        raise IndexError("the draw outran the tape")
+                    source = min(max(sink + int(off_val[p]) - spread, 0), last)
                     if source != sink:
                         break
                 else:
                     source = sink + 1 if sink < last else sink - 1
-                sources.append(source)
-            out.append(ChainingRequest(sink, *sources))
-        return out, i
+                row.append(source)
+            return row, p + 1
 
-    def realized_locality(self, requests: List[ChainingRequest]) -> float:
+        starts: List[int] = []
+        odd: List[Tuple[int, List[int]]] = []
+        p = 0
+        for t in range(n_requests):
+            starts.append(p)
+            h = hop[p]
+            if not h:
+                row, h = alone(p)
+                odd.append((t, row))
+            p = h
+
+        at = next_sink[starts]
+        sinks = sink_val[at]
+        columns = [sinks]
+        for end in ends:
+            source = sinks + (off_val[end[at]] - spread)
+            columns.append(np.minimum(np.maximum(source, 0), last))
+        for t, row in odd:
+            for column, value in zip(columns, row):
+                column[t] = value
+        return tuple(columns), p
+
+    def realized_locality(
+        self, sinks: Sequence[int], sources: Sequence[int]
+    ) -> float:
         """Mean dependency distance normalised by N — the measured
-        locality of a generated configuration (lower = more local)."""
-        if not requests:
+        locality of a generated configuration (lower = more local), from
+        its sink and primary-source columns."""
+        if len(sinks) == 0:
             return 0.0
-        return float(np.mean([r.span_length for r in requests])) / self.n_objects
+        distance = np.abs(np.subtract(sinks, sources))
+        return float(np.mean(distance)) / self.n_objects
 
     def stream(self) -> Iterator[ChainingRequest]:
         """Endless request stream (for long-running simulations)."""
         while True:
-            yield from self._draw(1, 1)
+            yield from self.requests(1)
+
+
+def _views(columns: Tuple[np.ndarray, ...]) -> List[ChainingRequest]:
+    """One :class:`ChainingRequest` per row of :meth:`LocalityWorkload.draw`'s
+    columns."""
+    return [ChainingRequest(*row) for row in zip(*(c.tolist() for c in columns))]

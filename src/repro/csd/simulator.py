@@ -123,9 +123,7 @@ class CSDSimulator:
         workload = LocalityWorkload(
             self.n_objects, locality, seed=trial_seed if trial_seed is not None else self.seed
         )
-        requests = (
-            workload.requests_two_source() if two_source else workload.requests()
-        )
+        columns = workload.draw(two_source=two_source)
         n_channels = 2 * self.n_objects if two_source else self.n_objects
         net = DynamicCSDNetwork(
             self.n_objects, n_channels=n_channels, faults=faults
@@ -164,17 +162,17 @@ class CSDSimulator:
             locality=locality,
             seed=trial_seed if trial_seed is not None else self.seed,
         ):
-            for req in requests:
-                for source in req.sources:
-                    if source == req.sink:  # cannot happen by construction
+            for sink, *sources in zip(*(c.tolist() for c in columns)):
+                for source in sources:
+                    if source == sink:  # cannot happen by construction
                         continue
                     try:
                         if retry_policy is not None:
                             connect_with_retry(
-                                net, source, req.sink, policy=retry_policy
+                                net, source, sink, policy=retry_policy
                             )
                         else:
-                            net.connect(source, req.sink)
+                            net.connect(source, sink)
                     except ChannelAllocationError:
                         blocked += 1
                     except RetryExhaustedError:
@@ -185,10 +183,10 @@ class CSDSimulator:
         return SimulationResult(
             n_objects=self.n_objects,
             locality_knob=locality,
-            realized_locality=workload.realized_locality(requests),
+            realized_locality=workload.realized_locality(*columns[:2]),
             used_channels=net.used_channels(),
             highest_channel=net.highest_used_channel(),
-            requests=len(requests),
+            requests=len(columns[0]),
             blocked=blocked,
         )
 

@@ -3,13 +3,16 @@
 A Figure 3 (or rate-0 fault-campaign) trial is a pure function of
 ``(n_objects, locality, trial_seed, two_source)``: the workload draws
 every request from a seeded RNG and the grant protocol is deterministic.
-So the engine resolves a trial without live channel objects: it turns
-the requests into the live loop's connect attempts
+So the engine resolves a trial in columns, without live channel or
+request objects: it draws the sink and source columns
+(:meth:`repro.csd.locality.LocalityWorkload.draw`), turns them into the
+live loop's connect attempts as ``lo``/``hi`` columns
 (:func:`repro.megascale.kernel.attempt_spans`), resolves them in one
 :class:`repro.megascale.kernel.VectorCSDKernel` batch — the priority
-encoder's first-fit grant on segment bitmasks — and then *replays* the
-telemetry the live path would have recorded (attempt, grant and block
-counts).
+encoder's first-fit grant on segment bitmasks — takes the grant log,
+block count and realized locality from array masks and formulas, and
+then *replays* the telemetry the live path would have recorded
+(attempt, grant and block counts).
 
 **Byte-identity contract.**  A resolved trial must be indistinguishable
 — in its result *and* in the telemetry registry — from running
@@ -85,31 +88,27 @@ class SweepEngine:
         """Resolve one trial on the vector kernel (no live network):
         the live path's attempt order, first-fit grants and blocks."""
         workload = LocalityWorkload(n_objects, locality, seed=seed)
-        requests = (
-            workload.requests_two_source() if two_source else workload.requests()
-        )
-        spans, span_cycles = attempt_spans(requests)
+        columns = workload.draw(two_source=two_source)
+        lo, hi, cycles = attempt_spans(*columns)
         n_channels = 2 * n_objects if two_source else n_objects
         kern = VectorCSDKernel(n_channels, n_objects - 1)
         with telemetry.profile_stage("kernel.grant_many"):
-            grants = kern.grant_many(spans)
-        granted_rows = [
-            (cycle, lo, hi, granted)
-            for cycle, (lo, hi), granted in zip(span_cycles, spans, grants)
-            if granted is not None
-        ]
+            grants = kern.grant_many(lo, hi)
+        granted = grants >= 0
         # one contiguous (4, grants) block; its rows are the log's columns
-        log = np.asarray(granted_rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        log = np.stack(
+            (cycles[granted], lo[granted], hi[granted], grants[granted])
+        )
         result = SimulationResult(
             n_objects=n_objects,
             locality_knob=locality,
-            realized_locality=workload.realized_locality(requests),
+            realized_locality=workload.realized_locality(*columns[:2]),
             used_channels=kern.used_channels(),
             highest_channel=kern.highest_used_channel(),
-            requests=len(requests),
-            blocked=grants.count(None),
+            requests=len(columns[0]),
+            blocked=len(grants) - int(np.count_nonzero(granted)),
         )
-        return TrialEntry(result, len(spans), tuple(log))
+        return TrialEntry(result, len(lo), tuple(log))
 
     @staticmethod
     def _replay(entry: TrialEntry) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import telemetry
+from repro.csd.locality import MAX_OBJECTS
 from repro.csd.simulator import (
     FIGURE3_LOCALITIES,
     FIGURE3_NOBJECTS,
@@ -47,6 +48,8 @@ def _check_sweep(n_objects_list: Sequence[int], n_trials: int) -> None:
         raise ValueError("need at least one trial")
     if any(n < 2 for n in n_objects_list):
         raise ValueError("need at least two objects")
+    if any(n >= MAX_OBJECTS for n in n_objects_list):
+        raise ValueError(f"need fewer than {MAX_OBJECTS} objects")
 
 
 def _dispatch(

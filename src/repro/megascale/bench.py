@@ -18,7 +18,9 @@ the protocol resolution cost.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.csd.dynamic_csd import DynamicCSDNetwork
 from repro.csd.locality import LocalityWorkload
@@ -28,24 +30,20 @@ from repro.megascale.kernel import VectorCSDKernel, attempt_spans
 __all__ = ["measure_kernel_speedup"]
 
 
-def _resolve_live(
-    n_objects: int, spans: List[Tuple[int, int]]
-) -> List[Optional[int]]:
+def _resolve_live(n_objects: int, lo: np.ndarray, hi: np.ndarray) -> List[int]:
     net = DynamicCSDNetwork(n_objects, n_channels=n_objects)
-    grants: List[Optional[int]] = []
-    for lo, hi in spans:
+    grants: List[int] = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
         try:
-            grants.append(net.connect(lo, hi).channel)
+            grants.append(net.connect(a, b).channel)
         except ChannelAllocationError:
-            grants.append(None)
+            grants.append(-1)
     return grants
 
 
-def _resolve_vector(
-    n_objects: int, spans: List[Tuple[int, int]]
-) -> List[Optional[int]]:
+def _resolve_vector(n_objects: int, lo: np.ndarray, hi: np.ndarray) -> List[int]:
     kern = VectorCSDKernel(n_objects, n_objects - 1)
-    return kern.grant_many(spans)
+    return kern.grant_many(lo, hi).tolist()
 
 
 def measure_kernel_speedup(
@@ -60,28 +58,30 @@ def measure_kernel_speedup(
     (``identical``: every grant of every trial equal) and the wallclock
     ratio ``kernel_speedup`` = live seconds / vector seconds.
     """
-    trial_spans: List[Tuple[int, List[Tuple[int, int]]]] = []
+    trial_spans: List[Tuple[np.ndarray, np.ndarray]] = []
     for locality in localities:
         for trial in range(n_trials):
             workload = LocalityWorkload(
                 n_objects, locality, seed=seed + 1000 * trial
             )
-            spans, _ = attempt_spans(workload.requests())
-            trial_spans.append((n_objects, spans))
+            lo, hi, _ = attempt_spans(*workload.draw())
+            trial_spans.append((lo, hi))
 
     t0 = time.perf_counter()
-    live_grants = [_resolve_live(n, spans) for n, spans in trial_spans]
+    live_grants = [_resolve_live(n_objects, lo, hi) for lo, hi in trial_spans]
     live_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vector_grants = [_resolve_vector(n, spans) for n, spans in trial_spans]
+    vector_grants = [
+        _resolve_vector(n_objects, lo, hi) for lo, hi in trial_spans
+    ]
     kernel_s = time.perf_counter() - t0
 
     return {
         "n_objects": n_objects,
         "localities": list(localities),
         "trials_per_locality": n_trials,
-        "attempts": sum(len(spans) for _, spans in trial_spans),
+        "attempts": sum(len(lo) for lo, _ in trial_spans),
         "identical": live_grants == vector_grants,
         "live_s": live_s,
         "kernel_s": kernel_s,

@@ -24,11 +24,12 @@ machine words instead:
   against 161k for a first-fit scan of every used channel.
 
 :class:`VectorCSDKernel` is that first-fit machine, which resolves
-every sweep-engine trial (one :meth:`~VectorCSDKernel.grant_many` each);
-:func:`attempt_spans` turns a trial's requests into its connect
-attempts, and :class:`VectorSampler` re-derives the live sampler's
-probes from the resulting grant log.  The hypothesis properties in
-``tests/megascale/test_kernel.py`` and
+every sweep-engine trial (one :meth:`~VectorCSDKernel.grant_many` each,
+over ``lo``/``hi`` columns, returning a column of granted channels with
+-1 for a block); :func:`attempt_spans` turns a trial's sink and source
+columns into its connect attempts, and :class:`VectorSampler`
+re-derives the live sampler's probes from the resulting grant log.  The
+hypothesis properties in ``tests/megascale/test_kernel.py`` and
 ``tests/megascale/test_vector_observation.py`` hold both against the
 live network.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import and_
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,24 +50,27 @@ __all__ = ["VectorCSDKernel", "VectorSampler", "attempt_spans"]
 GROUP = 8
 
 
-def attempt_spans(requests) -> Tuple[List[Tuple[int, int]], List[int]]:
+def attempt_spans(
+    sinks: np.ndarray, *sources: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live trial loop's connect attempts, as kernel spans.
 
-    Returns ``(spans, cycles)``: one ``(lo, hi)`` span per source of
-    every request, in attempt order, and beside each the cycle of its
+    Takes a trial's request columns (a sink column and one column per
+    source, as :meth:`~repro.csd.locality.LocalityWorkload.draw` returns
+    them) and returns ``(lo, hi, cycles)`` int64 columns: one
+    ``[lo, hi)`` span per source of every request, in attempt order (a
+    request's sources side by side), and beside each the cycle of its
     request (request index + 1 — the live sampler's clock).  Like the
     live loop, a source equal to its sink makes no attempt.
     """
-    spans: List[Tuple[int, int]] = []
-    cycles: List[int] = []
-    for cycle, req in enumerate(requests, 1):
-        sink = req.sink
-        for source in req.sources:
-            if source == sink:  # cannot happen by construction
-                continue
-            spans.append((source, sink) if source < sink else (sink, source))
-            cycles.append(cycle)
-    return spans, cycles
+    sinks = np.asarray(sinks, dtype=np.int64)
+    width = len(sources)
+    src = np.stack(sources, axis=1).ravel()
+    snk = np.repeat(sinks, width)
+    cycles = np.repeat(np.arange(1, len(sinks) + 1), width)
+    keep = src != snk  # always true by construction
+    src, snk = src[keep], snk[keep]
+    return np.minimum(src, snk), np.maximum(src, snk), cycles[keep]
 
 
 class VectorCSDKernel:
@@ -91,55 +95,68 @@ class VectorCSDKernel:
         #: channel of the group.
         self._groups: List[int] = []
 
-    def grant_many(self, spans) -> List[Optional[int]]:
-        """Resolve a sequence of ``(lo, hi)`` requests in order.
+    def grant_many(self, lo, hi) -> np.ndarray:
+        """Resolve the requests ``[lo[i], hi[i])`` in order.
 
-        Returns each request's granted channel, or ``None`` where it is
-        blocked: every provisioned channel is busy somewhere on the
-        span, or the span runs off the array (``hi > n_segments``, where
-        the live pool has no free channel either).  Every span is
+        Returns an int64 array of each request's granted channel, or -1
+        where it is blocked: every provisioned channel is busy somewhere
+        on the span, or the span runs off the array (``hi > n_segments``,
+        where the live pool has no free channel either).  Every span is
         validated before any is applied, so a malformed one raises with
         the occupancy unchanged.
         """
-        spans = [(int(lo), int(hi)) for lo, hi in spans]
-        for lo, hi in spans:
-            if lo < 0:
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise ValueError("lo and hi must be columns of one length")
+        if len(lo):
+            if lo.min() < 0:
                 raise ValueError("span cannot start below segment 0")
-            if hi <= lo:
-                raise ValueError(f"empty or inverted span [{lo}, {hi})")
+            if (hi - lo).min() <= 0:
+                i = int(np.argmax(hi <= lo))
+                raise ValueError(f"empty or inverted span [{lo[i]}, {hi[i]})")
         n_seg = self._n_segments
-        grant = self._grant
-        return [
-            None if hi > n_seg else grant((1 << hi) - (1 << lo))
-            for lo, hi in spans
-        ]
-
-    def _grant(self, m: int) -> Optional[int]:
-        """Grant segment mask ``m`` on the lowest channel it fits, or
-        return ``None`` when every provisioned channel blocks it."""
+        n_channels = self._n_channels
         masks = self._masks
         groups = self._groups
-        for g, busy in enumerate(groups):
-            if busy & m:
-                continue  # every channel of the group blocks
-            base = g * GROUP
-            for c in range(base, base + GROUP):
-                o = masks[c]
-                if not o & m:
-                    masks[c] = o | m
-                    groups[g] = reduce(and_, masks[base : base + GROUP])
-                    return c
-        for c in range(len(groups) * GROUP, len(masks)):
-            o = masks[c]
-            if not o & m:
-                masks[c] = o | m
-                return c
-        if len(masks) == self._n_channels:
-            return None
-        masks.append(m)
-        if len(masks) % GROUP == 0:
-            groups.append(reduce(and_, masks[-GROUP:]))
-        return len(masks) - 1
+        out: List[int] = []
+        # first fit: skip each group the mask is busy on, scan the
+        # channels of each group it might fit, then those of the
+        # incomplete tail, then open a channel if one is left
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            if b > n_seg:
+                out.append(-1)
+                continue
+            m = (1 << b) - (1 << a)
+            c = -1
+            for g, busy in enumerate(groups):
+                if busy & m:
+                    continue  # every channel of the group blocks
+                base = g * GROUP
+                for k in range(base, base + GROUP):
+                    o = masks[k]
+                    if not o & m:
+                        masks[k] = o | m
+                        groups[g] = reduce(and_, masks[base : base + GROUP])
+                        c = k
+                        break
+                if c >= 0:
+                    break
+            else:
+                for k in range(len(groups) * GROUP, len(masks)):
+                    o = masks[k]
+                    if not o & m:
+                        masks[k] = o | m
+                        c = k
+                        break
+                else:
+                    if len(masks) < n_channels:
+                        c = len(masks)
+                        masks.append(m)
+                        if len(masks) % GROUP == 0:
+                            groups.append(reduce(and_, masks[-GROUP:]))
+            out.append(c)
+        return np.array(out, dtype=np.int64)
 
     def used_channels(self) -> int:
         """Channels holding at least one granted span (no mask is zero)."""

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csd.locality import ChainingRequest, LocalityWorkload
+from tests.csd.test_draw_oracle import ScalarWorkload
 
 
 class TestChainingRequest:
@@ -72,11 +73,32 @@ class TestRealizedLocality:
         values = []
         for loc in (0.0, 0.5, 1.0):
             wl = LocalityWorkload(128, loc, seed=11)
-            values.append(wl.realized_locality(wl.requests(400)))
+            values.append(wl.realized_locality(*wl.draw(400)))
         assert values[0] > values[1] > values[2]
 
     def test_empty_requests(self):
-        assert LocalityWorkload(16, 0.5).realized_locality([]) == 0.0
+        assert LocalityWorkload(16, 0.5).realized_locality([], []) == 0.0
+
+
+class TestLongDraws:
+    def test_outrunning_the_tape_draws_a_longer_one(self, monkeypatch):
+        """On a 2-object array every sink sits at an end, so each source
+        retries its offset about three times and a long two-source draw
+        outruns its first tape.  The retried draw still gives the scalar
+        draw's requests and generator state."""
+        tapes = []
+        columns = LocalityWorkload._columns
+
+        def counted(self, tape, *args):
+            tapes.append(len(tape))
+            return columns(self, tape, *args)
+
+        monkeypatch.setattr(LocalityWorkload, "_columns", counted)
+        bulk = LocalityWorkload(2, 1.0, seed=3)
+        scalar = ScalarWorkload(2, 1.0, seed=3)
+        assert bulk.requests_two_source(200) == scalar.requests_two_source(200)
+        assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
+        assert len(tapes) > 1
 
 
 class TestStream:

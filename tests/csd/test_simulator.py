@@ -1,8 +1,9 @@
 """Unit tests for the functional CSD simulator (Figure 3)."""
 
+import numpy as np
 import pytest
 
-from repro.csd.locality import ChainingRequest, LocalityWorkload
+from repro.csd.locality import LocalityWorkload
 from repro.csd.simulator import (
     CSDSimulator,
     FIGURE3_NOBJECTS,
@@ -44,9 +45,10 @@ class TestSingleTrial:
     def test_malformed_request_propagates(self, monkeypatch):
         # Regression: a bare ``except Exception`` used to count logic
         # bugs as "blocked"; only ChannelAllocationError is a block.
-        bad = [ChainingRequest(sink=2, source=99)]  # source out of range
+        bad = (np.array([2]), np.array([99]))  # source out of range
         monkeypatch.setattr(
-            LocalityWorkload, "requests", lambda self, n_requests=None: bad
+            LocalityWorkload, "draw",
+            lambda self, n_requests=None, two_source=False: bad,
         )
         with pytest.raises(ValueError):
             CSDSimulator(8, seed=1).run_trial(0.5)

@@ -5,7 +5,10 @@ anything the replay cannot reproduce must run live."""
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.csd.locality as locality_module
 from repro import telemetry
 from repro.csd.simulator import CSDSimulator
 from repro.engine import SweepEngine
@@ -29,6 +32,11 @@ def paths(monkeypatch):
     """Record which path each trial took: ``"vector"`` when the engine
     resolved it on the kernel and replayed it, ``"live"`` when it ran on
     :class:`CSDSimulator`."""
+    return _record_paths(monkeypatch)
+
+
+def _record_paths(monkeypatch):
+    """Patch both trial paths to log their names; return the log."""
     taken = []
     resolve = SweepEngine._resolve_trial
     run_trial = CSDSimulator.run_trial
@@ -68,6 +76,51 @@ class TestResultIdentity:
             assert paths == ["vector"]
             assert vector == live
             assert _signature() == live_sig
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(2, 96),
+        locality=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        two_source=st.booleans(),
+    )
+    def test_engine_trial_matches_live_property(
+        self, n, locality, seed, two_source
+    ):
+        """Any trial: on tiny arrays most sinks sit at an end and are
+        drawn one request at a time, sizes that are not powers of two
+        reject words, and both source models resolve on the kernel
+        exactly as on the live network."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            taken = _record_paths(monkeypatch)
+            telemetry.reset()
+            live = CSDSimulator(n).run_trial(
+                locality, trial_seed=seed, two_source=two_source
+            )
+            live_sig = _signature()
+            telemetry.reset()
+            taken.clear()
+            vector = SweepEngine().run_csd_trial(
+                n, locality, seed, two_source=two_source
+            )
+            assert taken == ["vector"]
+            assert vector == live
+            assert _signature() == live_sig
+
+    def test_engine_trial_builds_no_request_objects(self, monkeypatch):
+        """The vector path reads the draw's columns from draw to grant
+        log: an N=1024 trial constructs no ``ChainingRequest`` (a trial
+        built from request objects constructs 1,023)."""
+        built = []
+        request = locality_module.ChainingRequest
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return request(*args, **kwargs)
+
+        monkeypatch.setattr(locality_module, "ChainingRequest", counted)
+        SweepEngine().run_csd_trial(1024, 0.0, 42)
+        assert built == []
 
     def test_warm_replay_matches_cold(self):
         """An engine carries nothing from one trial to the next: a trial

@@ -207,10 +207,12 @@ class TestFaultsIdentity:
             dict(rates=RATES, n_objects_list=N_OBJECTS, n_trials=3,
                  csd_rate=float("nan")),
             dict(rates=RATES, n_objects_list=[1], n_trials=3),
+            dict(rates=RATES, n_objects_list=[2**31], n_trials=3),
         ]
         bad_fig3 = [
             dict(n_objects_list=N_OBJECTS, n_trials=0),
             dict(n_objects_list=[1], n_trials=3),
+            dict(n_objects_list=[2**31], n_trials=3),
         ]
         for kwargs in bad_faults:
             with pytest.raises(ValueError):

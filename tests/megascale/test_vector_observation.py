@@ -94,11 +94,13 @@ class TestSamplerLockstepProperty:
 
         # vector side: the kernel's grant log replayed into fresh
         # instruments
-        grants = VectorCSDKernel(n_channels, n_segments).grant_many(requests)
+        grants = VectorCSDKernel(n_channels, n_segments).grant_many(
+            [lo for lo, _ in requests], [hi for _, hi in requests]
+        )
         log = [
             (idx + 1, lo, hi, granted)
             for idx, ((lo, hi), granted) in enumerate(zip(requests, grants))
-            if granted is not None
+            if granted >= 0
         ]
         cycles = np.asarray([r[0] for r in log], dtype=np.int64)
         lo_col = np.asarray([r[1] for r in log], dtype=np.int64)

@@ -357,6 +357,15 @@ PINNED_SHA256 = {
         "7978e7c33c184bdfb17b71a822dd81ffaa7c33ea8b7d003fd4fb6dd687adc6a3",
 }
 
+#: SHA-256 of the stdout of ``fig3 --n-objects 1000 4096 --trials 2`` as
+#: the sweep engine printed it at commit 7b8afd2 (numpy 2.4.6), serially
+#: and at --workers 2, before the draw became columnar.  The live sweeps
+#: never ran this size, so this pins the engine's own output, not a
+#: live-sweep digest.
+PINNED_MEGA_SHA256 = (
+    "3d91a5d7493fdec4c2342e184a71389556bd657774c707e8b1a57f3966aa19d5"
+)
+
 #: SHA-256 of the ``--trace`` file these ``faults ... --quiet`` commands
 #: wrote with numpy 2.4.6, before the CSD fault filter read bitmasks: the
 #: order of the ``fault.triggered`` and ``fault.healed`` instants must not
@@ -528,11 +537,13 @@ class TestEngineFlag:
 
 class TestVectorKernelFlag:
     """The vector kernel must stay byte-identical beyond the base sweep:
-    N=64, a faulty N=64 campaign, a pinned ``--csd-rate 0`` and the N=64
-    observation bundle, at --workers 2 as well as serially."""
+    N=64, N=1000 and 4096, a faulty N=64 campaign, a pinned ``--csd-rate
+    0`` and the N=64 observation bundle, at --workers 2 as well as
+    serially."""
 
     FIG3 = "fig3 --n-objects 16 64 --trials 2"
     FAULTY = "faults --rates 0.05 0.2 --n-objects 64 --trials 2"
+    MEGA = "fig3 --n-objects 1000 4096 --trials 2"
 
     def test_fig3_vector_matches_plain_stdout(self, capsys):
         assert _pinned_stdout(capsys, self.FIG3) == PINNED_SHA256[self.FIG3]
@@ -541,6 +552,10 @@ class TestVectorKernelFlag:
         assert _pinned_stdout(
             capsys, self.FIG3, ["--workers", "2"]
         ) == PINNED_SHA256[self.FIG3]
+
+    @pytest.mark.parametrize("extra", WORKER_COUNTS)
+    def test_mega_n_matches_pinned(self, capsys, extra):
+        assert _pinned_stdout(capsys, self.MEGA, extra) == PINNED_MEGA_SHA256
 
     def test_vector_observe_bundle_matches_live(self, capsys, tmp_path):
         out = tmp_path / "obs"
@@ -601,6 +616,9 @@ class TestSweepArgumentErrors:
         ["service-load", "--rps", "nan"],
         ["fig3", "--seed", "-5"],
         ["faults", "--seed", "-1"],
+        ["fig3", "--n-objects", "2147483648", "--trials", "1"],
+        ["faults", "--n-objects", "2147483648", "--trials", "1",
+         "--rates", "0"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main([*argv, "--quiet"]) == 2

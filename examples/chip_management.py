@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.defrag import Defragmenter
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import RegionError
-from repro.topology.metrics import diameter
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ Usage::
     python -m repro trace-report out.json     # critical path / latencies
     python -m repro observe-report out/       # summarise an --observe bundle
     python -m repro profile out/              # summarise the self-profile layer
-    python -m repro faults --rate 0.05 --trials 4 --workers 2 --stats
+    python -m repro faults --rates 0.05 --trials 4 --workers 2 --stats
     python -m repro baseline record --bench fig3 --out BENCH_fig3.json
     python -m repro baseline check BENCH_fig3.json --skip-wallclock
     python -m repro chip --rows 8 --cols 8   # fabric summary
@@ -439,6 +439,9 @@ def _cmd_serve(
     from repro.service import FabricServer, FabricService, ResidentFabric
 
     error = _die_arg_error(rows, cols)
+    for flag, value in (("--port", port), ("--metrics-port", metrics_port)):
+        if value is not None and not 0 <= value <= 65535:  # 0: ephemeral
+            error = f"{flag} must lie in 0-65535, got {value}"
     if error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
@@ -499,6 +502,7 @@ def _cmd_service_load(
     records_path: Optional[str] = None,
     connect: Optional[str] = None,
 ) -> int:
+    from repro.errors import ServiceError
     from repro.service import (
         LoadConfig,
         build_report,
@@ -526,9 +530,12 @@ def _cmd_service_load(
             )
             return 2
         host, sep, port_text = connect.rpartition(":")
-        if not sep or not host or not port_text.isdigit():
+        # isascii(): isdigit() also passes digits int() rejects, like "²"
+        if not (sep and host and port_text.isascii() and port_text.isdigit()
+                and len(port_text) <= 5 and 1 <= int(port_text) <= 65535):
             print(
-                f"service-load: --connect wants HOST:PORT, got {connect!r}",
+                f"service-load: --connect wants HOST:PORT with PORT in "
+                f"1-65535, got {connect!r}",
                 file=sys.stderr,
             )
             return 2
@@ -557,9 +564,13 @@ def _cmd_service_load(
     with telemetry.session(
         trace=bool(trace), observe=bool(observe), profile=profile
     ):
-        records = execute_load(
-            config, transport=transport, connect=connect_to
-        )
+        try:
+            records = execute_load(
+                config, transport=transport, connect=connect_to
+            )
+        except ServiceError as exc:  # --connect reached no server
+            print(f"service-load: {exc}", file=sys.stderr)
+            return 1
     report = build_report(config, records)
     slo_report = None
     if objectives is not None:
@@ -809,11 +820,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(retry, degradation, survival curves)",
     )
     p_faults.add_argument(
-        "--rate", type=float, default=None,
-        help="single fault rate to sweep (shorthand for --rates RATE)",
-    )
-    p_faults.add_argument(
-        "--rates", type=float, nargs="+", default=None,
+        "--rates", type=float, nargs="+", default=[0.0, 0.02, 0.05, 0.1, 0.2],
         help="fault rates to sweep (default 0 0.02 0.05 0.1 0.2)",
     )
     p_faults.add_argument(
@@ -1098,14 +1105,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             observe=args.observe, quiet=args.quiet, profile=args.profile,
         )
     if args.command == "faults":
-        if args.rates is not None:
-            rates = args.rates
-        elif args.rate is not None:
-            rates = [args.rate]
-        else:
-            rates = [0.0, 0.02, 0.05, 0.1, 0.2]
         return _cmd_faults(
-            rates, args.n_objects, args.trials, workers=args.workers,
+            args.rates, args.n_objects, args.trials, workers=args.workers,
             stats=args.stats, seed=args.seed, trace=args.trace,
             report_path=args.report, observe=args.observe,
             quiet=args.quiet, csd_rate=args.csd_rate, profile=args.profile,

@@ -82,12 +82,6 @@ class PipelineStats:
             return 0.0
         return self.hits / self.object_requests
 
-    @property
-    def cycles_per_element(self) -> float:
-        if self.elements == 0:
-            return 0.0
-        return self.total_cycles / self.elements
-
 
 class AdaptiveProcessor:
     """One AP: stack + WSRF + library + dynamic CSD network + pipeline.

@@ -30,16 +30,15 @@ its arithmetic, and leaves the generator where the scalar calls would.
 It evaluates the bounded draw on the whole tape at once and returns
 columns — an int64 sink column and one source column per source — which
 both trial paths read without building a request object;
-:meth:`~LocalityWorkload.requests`, ``requests_two_source`` and
-:meth:`~LocalityWorkload.stream` are :class:`ChainingRequest` views of
-the same columns.  ``tests/csd/test_draw_oracle.py`` keeps the scalar
-draw as the reference.
+:meth:`~LocalityWorkload.requests` and ``requests_two_source`` are
+:class:`ChainingRequest` views of the same columns.
+``tests/csd/test_draw_oracle.py`` keeps the scalar draw as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -278,11 +277,6 @@ class LocalityWorkload:
             return 0.0
         distance = np.abs(np.subtract(sinks, sources))
         return float(np.mean(distance)) / self.n_objects
-
-    def stream(self) -> Iterator[ChainingRequest]:
-        """Endless request stream (for long-running simulations)."""
-        while True:
-            yield from self.requests(1)
 
 
 def _views(columns: Tuple[np.ndarray, ...]) -> List[ChainingRequest]:

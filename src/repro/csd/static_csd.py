@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ChannelAllocationError
 
@@ -69,7 +69,3 @@ class StaticCSDNetwork:
 
     def used_channels(self) -> int:
         return len(self._busy)
-
-    @property
-    def connections(self) -> Tuple[StaticConnection, ...]:
-        return tuple(self._busy.values())

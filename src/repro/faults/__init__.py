@@ -36,7 +36,6 @@ from repro.faults.model import Fault, FaultKind, FaultPlan
 from repro.faults.recovery import (
     RetryPolicy,
     chained_connect_with_retry,
-    configure_with_retry,
     connect_with_retry,
     with_retry,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "with_retry",
     "connect_with_retry",
     "chained_connect_with_retry",
-    "configure_with_retry",
     "DegradationReport",
     "FaultAwareDefectInjector",
 ]

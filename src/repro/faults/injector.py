@@ -229,10 +229,6 @@ class FaultInjector:
     # -- statistics --------------------------------------------------------
 
     @property
-    def triggered_sites(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._triggers))
-
-    @property
     def healed_sites(self) -> Tuple[str, ...]:
         return tuple(sorted(self._healed))
 

@@ -38,7 +38,6 @@ __all__ = [
     "with_retry",
     "connect_with_retry",
     "chained_connect_with_retry",
-    "configure_with_retry",
     "CSD_RETRYABLE",
     "RECONFIG_RETRYABLE",
 ]
@@ -191,19 +190,3 @@ def chained_connect_with_retry(
         what=f"chained.connect {source}->{sink}",
     )
 
-
-def configure_with_retry(
-    configurator,
-    region,
-    owner,
-    policy: RetryPolicy = DEFAULT_POLICY,
-):
-    """A reserve→commit scaling worm under retry.  A failed worm has
-    already retreated (flags released, switches unchained, clusters
-    freed), so the re-sent worm sees a clean fabric."""
-    return with_retry(
-        lambda: configurator.configure(region, owner),
-        policy=policy,
-        retry_on=RECONFIG_RETRYABLE,
-        what=f"wormhole.configure {owner!r}@{region.path[0]}",
-    )

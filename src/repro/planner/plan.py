@@ -78,13 +78,6 @@ class RewireCost:
             self.config_flits + other.config_flits,
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "switch_writes": self.switch_writes,
-            "config_flits": self.config_flits,
-            "downtime_cycles": self.downtime_cycles,
-        }
-
 
 @dataclass(frozen=True)
 class RegionMove:

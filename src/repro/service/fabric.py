@@ -42,7 +42,6 @@ from repro.errors import (
     ServiceError,
 )
 from repro.core.scaling import ScalingController
-from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
 from repro.topology.folding import first_run, fold_mask
 from repro.topology.metrics import manhattan
@@ -320,8 +319,8 @@ class ResidentFabric:
         Deliberately scoped to the requesting tenant: a fabric-wide
         snapshot is a function of the live interleaving (who else is
         resident *right now*), which would leak scheduling into the
-        completion records and break byte-identical reports.  The
-        global view stays available to operators via :meth:`stats`.
+        completion records and break byte-identical reports, so the
+        protocol offers no fabric-wide view.
         """
         tenant = self._tenant(name)
         return {
@@ -329,18 +328,6 @@ class ResidentFabric:
             "owned_clusters": self.owned_clusters(name),
             "shard_clusters": len(tenant.shard),
             "quota_clusters": tenant.quota.clusters,
-        }, 1
-
-    def stats(self) -> Tuple[Dict[str, Any], int]:
-        """Fabric-wide occupancy snapshot, for operators (``repro
-        serve`` logging) — not exposed through the request protocol;
-        see :meth:`tenant_stats` for why."""
-        return {
-            "tenants": len(self.tenants),
-            "processors": len(self.vlsi.processors),
-            "free_clusters": self.vlsi.free_clusters(),
-            "utilization": self.vlsi.utilization(),
-            "reserved_switches": self.reserved_switch_count(),
         }, 1
 
     # -- queries -----------------------------------------------------------
@@ -359,12 +346,6 @@ class ResidentFabric:
         return sum(
             1 for sw in self.vlsi.fabric.all_switches() if sw.is_reserved
         )
-
-    def lifecycle_census(self) -> Dict[str, int]:
-        return self.vlsi.lifecycle_census()
-
-    def processor_state(self, name: str, proc: str) -> ProcessorState:
-        return self.vlsi.processor(self._qualify(name, proc)).state.state
 
     def instance(self, name: str, proc: str) -> ProcessorInstance:
         return self.vlsi.processor(self._qualify(name, proc))

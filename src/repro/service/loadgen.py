@@ -27,6 +27,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ServiceError
 from repro.service.fabric import ResidentFabric
 from repro.service.protocol import PROTOCOL_SCHEMA, make_request
 from repro.service.server import (
@@ -82,8 +83,8 @@ class LoadConfig:
             raise ValueError("need at least one tenant")
         if self.requests < 0:
             raise ValueError("requests per tenant cannot be negative")
-        if not self.rps > 0:  # NaN fails every comparison
-            raise ValueError("rps must be positive")
+        if not 0 < self.rps < float("inf"):  # NaN fails both comparisons
+            raise ValueError("rps must be finite and positive")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("die needs at least one cluster")
         if self.quota < 1:
@@ -228,9 +229,10 @@ async def _execute_connect(
     config: LoadConfig, host: str, port: int
 ) -> List[Dict[str, Any]]:
     """Drive the scripts against an already-running external server."""
-    clients = [
-        await TCPClient.connect(host, port) for _ in range(config.tenants)
-    ]
+    try:
+        clients = [await TCPClient.connect(host, port) for _ in range(config.tenants)]
+    except OSError as exc:
+        raise ServiceError(f"cannot connect to {host}:{port}: {exc}") from exc
     tasks = [
         _run_tenant(clients[i], build_script(config, i))
         for i in range(config.tenants)
@@ -249,8 +251,9 @@ def execute_load(
     ``transport`` is ``"inproc"`` (frame round-trip against the service
     object) or ``"tcp"`` (a real :class:`FabricServer` on an ephemeral
     localhost port).  ``connect=(host, port)`` instead drives an
-    external, already-running ``repro serve`` — which is how CI scrapes
-    a live ``/metrics`` endpoint mid-load.
+    external, already-running ``repro serve`` (how CI scrapes a live
+    ``/metrics`` endpoint mid-load), and raises ``ServiceError`` when
+    nothing answers there.
     """
     if connect is not None:
         return asyncio.run(_execute_connect(config, *connect))

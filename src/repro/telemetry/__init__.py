@@ -84,7 +84,6 @@ __all__ = [
     "snapshot",
     "merge",
     "reset",
-    "summary",
 ]
 
 #: The process-wide default registry the library's hot paths write to.
@@ -228,7 +227,3 @@ def merge(snap: Dict[str, Any]) -> None:
 
 def reset() -> None:
     _default.reset()
-
-
-def summary() -> str:
-    return _default.summary()

@@ -31,6 +31,7 @@ JSON specs (``{"objective": [...]}``) are always accepted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -89,6 +90,8 @@ class Objective:
                 f"objective {self.name!r}: unknown kind {self.kind!r} "
                 f"(want one of {list(OBJECTIVE_KINDS)})"
             )
+        if not math.isfinite(self.threshold):  # NaN would hold every window
+            raise ValueError(f"objective {self.name!r}: threshold must be finite")
         if self.window_cycles < 1:
             raise ValueError(
                 f"objective {self.name!r}: window_cycles must be >= 1"
@@ -147,22 +150,12 @@ def parse_spec(data: Mapping[str, Any]) -> List[Objective]:
                 f"objective #{index}: needs an integer 'window' "
                 f"(cycles), got {window!r}"
             )
-        if not isinstance(table["threshold"], (int, float)) or isinstance(
-            table["threshold"], bool
-        ):
-            raise ValueError(
-                f"objective #{index}: 'threshold' must be a number"
-            )
-        if not isinstance(table["budget"], (int, float)) or isinstance(
-            table["budget"], bool
-        ):
-            raise ValueError(f"objective #{index}: 'budget' must be a number")
         objective = Objective(
             name=str(table["name"]),
             kind=str(table["kind"]),
-            threshold=float(table["threshold"]),
+            threshold=_number(table, "threshold", index),
             window_cycles=window,
-            budget=float(table["budget"]),
+            budget=_number(table, "budget", index),
             scope=str(table.get("scope", "fleet")),
         )
         if objective.name in seen:
@@ -170,6 +163,16 @@ def parse_spec(data: Mapping[str, Any]) -> List[Objective]:
         seen.add(objective.name)
         objectives.append(objective)
     return objectives
+
+
+def _number(table: Mapping[str, Any], key: str, index: int) -> float:
+    value = table[key]
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"objective #{index}: {key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float range
+        raise ValueError(f"objective #{index}: {key!r} is out of range") from None
 
 
 def load_spec(path: Union[str, Path]) -> List[Objective]:

@@ -329,10 +329,6 @@ class Tracer:
         span.wall_end = span.wall_start
         self._record(span)
 
-    def current(self) -> Optional[Span]:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
-
     def _record(self, span: Span) -> None:
         span._tracer = None  # snapshot()s must pickle; drop the backref
         if len(self._spans) >= self.max_spans:

@@ -58,11 +58,6 @@ from repro.topology.metrics import (
 from repro.topology.mesh import MeshTopology
 from repro.topology.ring_baseline import RingTopology
 from repro.topology.die_stack import DieStack
-from repro.topology.graph import (
-    to_networkx,
-    configured_components,
-    verify_linear_region,
-)
 
 __all__ = [
     "SwitchState",
@@ -89,7 +84,4 @@ __all__ = [
     "MeshTopology",
     "RingTopology",
     "DieStack",
-    "to_networkx",
-    "configured_components",
-    "verify_linear_region",
 ]

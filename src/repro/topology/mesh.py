@@ -33,10 +33,6 @@ class MeshTopology:
         self.rows = rows
         self.cols = cols
 
-    @property
-    def n_tiles(self) -> int:
-        return self.rows * self.cols
-
     def hops(self, src: Coord, dst: Coord) -> int:
         """XY-routing hop count — equals the Manhattan distance."""
         self._check(src)

@@ -59,11 +59,6 @@ class ScalarWorkload(LocalityWorkload):
         source = avoid + 1 if avoid + 1 < self.n_objects else avoid - 1
         return source
 
-    def stream(self):
-        while True:
-            sink = int(self._rng.integers(0, self.n_objects))
-            yield ChainingRequest(sink=sink, source=self._source_near(sink, sink))
-
 
 @st.composite
 def _draws(draw):
@@ -109,14 +104,6 @@ class TestBulkDrawMatchesScalar:
                 scalar, two_source, n_requests
             )
             assert bulk._rng.bit_generator.state == scalar._rng.bit_generator.state
-
-    def test_stream(self):
-        for n, locality in ((2, 1.0), (3, 0.0), (64, 0.5), (4096, 0.0)):
-            bulk = LocalityWorkload(n, locality, seed=n).stream()
-            scalar = ScalarWorkload(n, locality, seed=n).stream()
-            assert [next(bulk) for _ in range(50)] == [
-                next(scalar) for _ in range(50)
-            ]
 
 
 class _CountingGenerator:

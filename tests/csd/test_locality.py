@@ -101,16 +101,6 @@ class TestLongDraws:
         assert len(tapes) > 1
 
 
-class TestStream:
-    def test_stream_yields_valid_requests(self):
-        wl = LocalityWorkload(16, 0.5, seed=9)
-        it = wl.stream()
-        for _ in range(50):
-            r = next(it)
-            assert 0 <= r.sink < 16 and 0 <= r.source < 16
-            assert r.source != r.sink
-
-
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -37,13 +37,6 @@ class TestRewireCost:
         total = RewireCost(2, 1) + RewireCost(4, 0)
         assert total == RewireCost(6, 1)
 
-    def test_as_dict_is_json_stable(self):
-        assert RewireCost(4, 2).as_dict() == {
-            "switch_writes": 4,
-            "config_flits": 2,
-            "downtime_cycles": 6,
-        }
-
 
 class TestDirectedEdges:
     def test_path_edges_are_consecutive_pairs(self):

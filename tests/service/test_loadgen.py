@@ -25,6 +25,8 @@ class TestLoadConfig:
             {"rps": 0},
             {"rows": 0},
             {"tenants": 20, "rows": 4, "cols": 4},  # quota would be zero
+            {"rps": float("inf")},
+            {"rps": float("nan")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -48,6 +48,11 @@ class TestObjectiveValidation:
         with pytest.raises(ValueError, match="unknown kind"):
             objective(kind="latency_p50")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            objective(threshold=float(threshold))
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError, match="window_cycles"):
             objective(window_cycles=0)
@@ -117,6 +122,12 @@ class TestParseSpec:
             parse_spec({"objective": [self._table(threshold="big")]})
         with pytest.raises(ValueError, match="'budget'"):
             parse_spec({"objective": [self._table(budget="lots")]})
+
+    def test_rejects_integers_past_float_range(self):
+        with pytest.raises(ValueError, match="'threshold' is out of range"):
+            parse_spec({"objective": [self._table(threshold=10**400)]})
+        with pytest.raises(ValueError, match="'budget' is out of range"):
+            parse_spec({"objective": [self._table(budget=10**400)]})
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -619,6 +619,10 @@ class TestSweepArgumentErrors:
         ["fig3", "--n-objects", "2147483648", "--trials", "1"],
         ["faults", "--n-objects", "2147483648", "--trials", "1",
          "--rates", "0"],
+        ["service-load", "--rps", "inf"],
+        ["service-load", "--connect", "127.0.0.1:99999"],
+        ["service-load", "--connect", "127.0.0.1:\u00b2"],
+        ["service-load", "--connect", "127.0.0.1:0"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys):
         assert main([*argv, "--quiet"]) == 2
@@ -684,15 +688,19 @@ class TestOutputPathErrors:
 
 
 class TestDieSizeErrors:
-    """chip and serve reject a die without clusters like every other bad
-    argument: exit 2 with one stderr line, before a fabric is built or
-    (for serve) the event loop that binds the port starts."""
+    """chip and serve reject a die without clusters, and serve a port
+    outside 0-65535, like every other bad argument: exit 2 with one
+    stderr line, before a fabric is built or (for serve) the event loop
+    that binds the port starts."""
 
     @pytest.mark.parametrize("argv", [
         ["chip", "--rows", "0"],
         ["chip", "--cols", "-2"],
         ["serve", "--rows", "0"],
         ["serve", "--cols", "0"],
+        ["serve", "--port", "99999"],
+        ["serve", "--port", "-5"],
+        ["serve", "--metrics-port", "70000"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys, monkeypatch):
         import asyncio
@@ -1033,6 +1041,44 @@ class TestServiceObservabilityCLI:
     def test_connect_wants_host_port(self, capsys):
         assert main(self.ARGS + ["--connect", "just-a-host"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_refused_connect_is_exit_1(self, capsys):
+        import socket
+
+        with socket.socket() as sock:  # a port nothing listens on now
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(self.ARGS + ["--connect", f"127.0.0.1:{port}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"service-load: cannot connect to 127.0.0.1:{port}: "
+        )
+
+    @pytest.mark.parametrize("name, text", [
+        ("nan.toml", HOLDING_SLO.replace("400000", "nan")),
+        ("inf.json", json.dumps({"objective": [{
+            "name": "lat", "kind": "latency_p99", "threshold": float("inf"),
+            "window": 65536, "budget": 0.25,
+        }]})),
+    ], ids=["toml-nan", "json-inf"])
+    def test_slo_report_rejects_non_finite_threshold(
+        self, name, text, capsys, tmp_path
+    ):
+        # a NaN threshold compares false, so every window would hold
+        records = tmp_path / "records.json"
+        assert main(self.ARGS + ["--records", str(records)]) == 0
+        capsys.readouterr()
+        spec = tmp_path / name
+        spec.write_text(text)
+        assert main(["slo-report", str(spec), "--records", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "slo-report: bad SLO spec: "
+        )
 
 
 class TestParser:

@@ -82,22 +82,41 @@ class TestRectangleRegion:
         assert len(reg) == h * w  # Region validates adjacency on build
 
 
+def chained_switches(fab: STopology) -> int:
+    """How many chain switches on ``fab`` are set."""
+    return sum(fab.chain_switch_states().values())
+
+
 class TestChainOnFabric:
+    # A chained region is linear (§3.1): it sets exactly its own path's
+    # switches, len(path) - 1 for a path and len(path) for a ring.
+
     def test_chain_and_unchain_roundtrip(self):
         fab = STopology(4, 4)
         reg = rectangle_region((0, 0), 2, 2)
         reg.chain_on(fab)
         assert fab.chained_component((0, 0)) == set(reg.path)
+        assert chained_switches(fab) == len(reg.path) - 1
         reg.unchain_on(fab)
         assert fab.chained_component((0, 0)) == {(0, 0)}
+        assert chained_switches(fab) == 0
+
+    def test_serpentine_rectangle_is_linear(self):
+        fab = STopology(4, 4)
+        reg = rectangle_region((0, 0), 2, 3)
+        reg.chain_on(fab)
+        assert fab.chained_component((0, 0)) == set(reg.path)
+        assert chained_switches(fab) == len(reg.path) - 1
 
     def test_ring_chains_closing_edge(self):
         fab = STopology(4, 4)
         reg = Region(((0, 0), (0, 1), (1, 1), (1, 0)), ring=True)
         reg.chain_on(fab)
         assert fab.chain_switch((1, 0), (0, 0)).is_chained
+        assert chained_switches(fab) == len(reg.path)
         reg.unchain_on(fab)
         assert not fab.chain_switch((1, 0), (0, 0)).is_chained
+        assert chained_switches(fab) == 0
 
     def test_arbitrary_l_shape(self):
         # "any arbitrary shape that may be formed by connecting the clusters"
@@ -105,3 +124,4 @@ class TestChainOnFabric:
         l_shape = path_region([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])
         l_shape.chain_on(fab)
         assert fab.chained_component((0, 0)) == set(l_shape.path)
+        assert chained_switches(fab) == len(l_shape.path) - 1

@@ -45,6 +45,15 @@ class TestRingRegion:
         assert reg.ring
         assert len(reg) == 2 * (3 + 4) - 4
 
+    def test_ring_region_is_linear(self):
+        # a chained ring is one closed stack: it sets exactly its own
+        # len(path) switches, the closing edge included, and no others
+        fab = STopology(6, 6)
+        reg = ring_region((1, 1), 3, 3)
+        reg.chain_on(fab)
+        assert fab.chained_component((1, 1)) == set(reg.path)
+        assert sum(fab.chain_switch_states().values()) == len(reg.path)
+
     def test_multiple_disjoint_rings_on_one_fabric(self):
         # Figure 5 shows several rings coexisting on the S-topology.
         fab = STopology(8, 8)
@@ -55,6 +64,9 @@ class TestRingRegion:
         r2.chain_on(fab)
         assert fab.chained_component((0, 0)) == set(r1.path)
         assert fab.chained_component((4, 4)) == set(r2.path)
+        # each ring is linear: it sets its own len(path) switches, no more
+        chained = sum(fab.chain_switch_states().values())
+        assert chained == len(r1.path) + len(r2.path)
 
     def test_ring_component_is_closed(self):
         fab = STopology(4, 4)

@@ -89,6 +89,13 @@ class ChainedCSD:
             )
             for i, size in enumerate(segment_sizes)
         ]
+        if faults is not None:
+            # a chaining crosses several segments: derive their fault
+            # grids together, on the first filter that needs one
+            faults.register_csd_group([
+                (net.fault_domain, len(net.pool), net.pool.n_segments)
+                for net in self.segments
+            ])
         #: junction i joins segment i and i+1; chained when the APs fused.
         self._junction_chained = [True] * (len(segment_sizes) - 1)
         self._conns: Dict[int, CrossConnection] = {}

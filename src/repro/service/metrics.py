@@ -14,7 +14,8 @@ Responses carry no ``Date`` header and no server banner: the body is a
 pure function of the registry state, so scraping after identical load
 runs yields byte-identical snapshots — which CI checks with ``cmp``.
 One request per connection (``Connection: close``); a scrape endpoint
-needs no keep-alive.
+needs no keep-alive, and a connection that sends no request head within
+``_HEAD_TIMEOUT_S`` is closed unanswered.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ __all__ = ["MetricsEndpoint"]
 
 #: Cap on the request head (request line + headers) a scraper may send.
 _MAX_HEAD_BYTES = 16_384
+
+#: Seconds a connection has to send its request head; the endpoint hangs
+#: up on a peer that connects and stays silent.
+_HEAD_TIMEOUT_S = 10.0
 
 _OPENMETRICS_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
@@ -81,7 +86,12 @@ class MetricsEndpoint:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            path = await self._read_request_path(reader)
+            try:
+                path = await asyncio.wait_for(
+                    self._read_request_path(reader), _HEAD_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                return  # no head in time: hang up without a response
             if path is None:
                 status, body, ctype = (
                     "400 Bad Request", "bad request\n", "text/plain; charset=utf-8"

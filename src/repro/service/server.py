@@ -541,6 +541,12 @@ class InProcessClient:
         return None
 
 
+#: Seconds a :class:`TCPClient` request waits for its reply, so a peer
+#: that accepts the connection but never answers fails the request
+#: instead of hanging it.
+_REPLY_TIMEOUT_S = 30.0
+
+
 class TCPClient:
     """One framed connection to a :class:`FabricServer`."""
 
@@ -557,7 +563,14 @@ class TCPClient:
 
     async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
         await write_frame(self._writer, message)
-        response = await read_frame(self._reader)
+        try:
+            response = await asyncio.wait_for(
+                read_frame(self._reader), _REPLY_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            raise ProtocolError(
+                f"no reply within {_REPLY_TIMEOUT_S:g} s"
+            ) from None
         if response is None:
             raise ProtocolError("server closed the connection mid-request")
         return response

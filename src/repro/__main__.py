@@ -732,8 +732,8 @@ def _cmd_defrag(
         )
         return 2
     if not quiet:
-        # reproducibility banner: the strategy lives here, NOT in the
-        # report — CI byte-compares naive's report against legacy's
+        # reproducibility banner: the strategy lives here, not in the
+        # report
         print(
             f"repro {__version__} defrag: plan={plan}"
             + (f" mode={mode}" if plan == "minimal" else "")
@@ -974,10 +974,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="one scenario name, or 'all' for the whole suite (default)",
     )
     p_defrag.add_argument(
-        "--plan", choices=("legacy", "naive", "minimal"), default="minimal",
+        "--plan", choices=("legacy", "minimal"), default="minimal",
         help="execution strategy: 'legacy' (the compaction schedule run "
-        "as release-then-reconfigure), 'naive' (its moves planned first; "
-        "byte-identical report to legacy), or 'minimal' (delta rewiring; "
+        "as release-then-reconfigure) or 'minimal' (delta rewiring; "
         "default)",
     )
     p_defrag.add_argument(

@@ -21,7 +21,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import DefectError, ReproError
-from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 
 __all__ = ["DefectReport", "DefectInjector"]
@@ -77,7 +76,7 @@ class DefectInjector:
             affected = str(owner)
             instance = self.vlsi.processor(affected)
             n_clusters = instance.n_clusters
-            self._force_release(affected)
+            self.vlsi.destroy_processor(affected)
             cluster.mark_defective()
             if remap:
                 try:
@@ -122,15 +121,3 @@ class DefectInjector:
     def surviving_capacity(self) -> int:
         """Healthy clusters (free or owned) still on the fabric."""
         return sum(1 for cl in self.vlsi.fabric.clusters() if not cl.defective)
-
-    # -- internals ---------------------------------------------------------
-
-    def _force_release(self, name: str) -> None:
-        """Tear down a processor regardless of its current state."""
-        instance = self.vlsi.processor(name)
-        if instance.state.state is ProcessorState.SLEEP:
-            instance.state.wake()
-        if instance.state.state is not ProcessorState.RELEASE:
-            instance.state.release()
-        self.vlsi.configurator.release(instance.region, owner=name)
-        del self.vlsi.processors[name]

@@ -27,12 +27,12 @@ the set bits run the per-site trigger logic, in ascending segment
 order, so counters, the ledger and the trace instants come out as a
 per-site walk of every segment would give them.  A trigger increments
 counters the injector looked up once per kind and transient bit, and
-builds its trace instant only while the tracer is on.
+builds its trace instant only while the tracer is on; so does a heal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry.metrics import Counter
@@ -72,6 +72,8 @@ class FaultInjector:
         #: fault increments, looked up once (Registry.reset keeps its
         #: Counter objects, so the cached ones stay the registry's)
         self._ledger: Dict[Tuple[FaultKind, bool], Tuple[Counter, ...]] = {}
+        #: the faults.healed counter, looked up on the first heal
+        self._healed_counter: Optional[Counter] = None
         self._tracer = telemetry.tracer()
         #: site -> triggers so far (only sites that drew a fault appear)
         self._triggers: Dict[str, int] = {}
@@ -102,8 +104,13 @@ class FaultInjector:
         self._triggers[site] = count
         if fault.transient and count > fault.duration:
             self._healed.add(site)
-            telemetry.counter("faults.healed").inc()
-            telemetry.instant("fault.healed", kind=kind.value, site=site)
+            if self._healed_counter is None:
+                self._healed_counter = telemetry.counter("faults.healed")
+            self._healed_counter.inc()
+            if self._tracer.enabled:
+                self._tracer.instant(
+                    "fault.healed", kind=kind.value, site=site
+                )
             return False
         self._record(fault)
         return True

@@ -65,6 +65,10 @@ class Router:
         self.queues: Dict[VcKey, Deque[Flit]] = {
             (p, vc): deque() for p in _PORT_ORDER for vc in range(n_vcs)
         }
+        #: (input, vc) keys with their queues, in round-robin scan order
+        self._scan: Tuple[Tuple[VcKey, Deque[Flit]], ...] = tuple(
+            self.queues.items()
+        )
         self._route_lock: Dict[VcKey, Port] = {}  # (input, vc) -> output
         self._out_owner: Dict[Tuple[Port, int], VcKey] = {}  # (output, vc) -> owner
         self._rr = 0  # round-robin start index for allocation fairness
@@ -113,16 +117,13 @@ class Router:
         """
         moves: List[ProposedMove] = []
         granted_outputs: set = set()
-        keys = [
-            (p, vc) for p in _PORT_ORDER for vc in range(self.n_vcs)
-        ]
-        n = len(keys)
+        scan = self._scan
+        n = len(scan)
         for i in range(n):
-            in_key = keys[(self._rr + i) % n]
-            in_port, vc = in_key
-            q = self.queues[in_key]
+            in_key, q = scan[(self._rr + i) % n]
             if not q:
                 continue
+            in_port, vc = in_key
             flit = q[0]
             locked = self._route_lock.get(in_key)
             if locked is not None:
@@ -186,10 +187,6 @@ class Router:
     @property
     def is_idle(self) -> bool:
         return all(not q for q in self.queues.values()) and not self._route_lock
-
-    def occupancy(self) -> int:
-        """Total queued flits across all ports and VCs."""
-        return sum(len(q) for q in self.queues.values())
 
     def locked_pairs(self) -> Dict[VcKey, Port]:
         """Live wormhole (input, vc) → output locks (diagnostics)."""

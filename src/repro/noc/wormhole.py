@@ -5,17 +5,22 @@ routing using on-chip routers ... Wormhole routing is used to store a
 reservation flag at each programmable switch to avoid a resource
 (cluster) allocation conflict among the scaling configurations."
 
-A scaling operation is two-phase, exactly like the worm:
+A scaling operation rewires one processor from an old region to a new
+one and is two-phase, exactly like the worm:
 
-1. **Reserve** — the worm's head crawls the region path, planting the
-   reservation flag on every chain switch it will program and claiming
-   every cluster.  Hitting a flag or cluster owned by another in-flight
-   operation aborts the worm, which retreats and releases everything it
-   had taken (no partial configurations survive).
-2. **Commit** — the configuration data in the worm's body programs the
-   switches (chain the region), ownership transfers to the processor,
-   and the reservation flags clear.
+1. **Reserve** — the worm's head crawls the added part of the new
+   region, checking every added cluster and planting the reservation
+   flag on every chain switch it will program.  Hitting a flag or
+   cluster owned by another in-flight operation aborts the worm, which
+   retreats and releases everything it had taken.
+2. **Commit** — ownership of the added clusters transfers to the
+   processor, the edges the old region loses are unchained, the
+   configuration data in the worm's body chains the added edges, the
+   reservation flags clear and the dropped clusters go free.  A failed
+   commit rolls the fabric back to the old region (no partial
+   configurations survive).
 
+Configuring a processor is rewiring it from no region at all.
 Down-scaling is the reverse: unchain and free, no reservation needed
 ("the down-scale ... is possible ... by clearing active state").
 """
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.errors import (
@@ -39,10 +44,12 @@ from repro.noc.network import RouterNetwork
 from repro.noc.routing_algos import xy_path
 from repro.topology.regions import Region
 from repro.topology.s_topology import STopology
+from repro.topology.switches import SwitchState
 
 __all__ = ["ScalingOperation", "WormholeConfigurator", "WORM_FAILURES"]
 
 Coord = Tuple[int, int]
+Edge = Tuple[Coord, Coord]
 
 #: The exceptions a scaling worm can *legitimately* die of — conflicts,
 #: defects, bad regions, injected faults, transport no-progress.  The
@@ -110,10 +117,11 @@ class WormholeConfigurator:
         self._op_ids = itertools.count()
         self._packet_ids = itertools.count()
 
-    # -- up-scaling ---------------------------------------------------------
+    # -- up-scaling and delta rewiring ---------------------------------------
 
     def configure(self, region: Region, owner: Hashable) -> ScalingOperation:
-        """Run a full reserve→commit scaling worm for ``region``.
+        """Run a full reserve→commit scaling worm for ``region``: the
+        rewiring of ``owner`` from no region at all (see :meth:`_rewire`).
 
         Raises
         ------
@@ -125,42 +133,124 @@ class WormholeConfigurator:
         RegionError
             If the region path leaves the fabric.
         """
+        return self._rewire(None, region, owner)
+
+    def reconfigure(
+        self, old: Region, new: Region, owner: Hashable
+    ) -> ScalingOperation:
+        """Morph ``owner``'s region from ``old`` to ``new`` as a delta.
+
+        Unlike release-then-:meth:`configure`, only the *difference* is
+        touched: directed edges leaving the assignment are unchained
+        (direct clearing, §3.3 — no worm flits), freshly-added directed
+        edges are reserved then chained, and only the added clusters are
+        claimed / removed clusters freed.  Clusters shared by both
+        assignments never leave ``owner``, so a failure mid-commit rolls
+        the fabric back to exactly the ``old`` wiring — the processor is
+        never left regionless.
+
+        Raises
+        ------
+        AllocationConflictError
+            If ``owner`` does not own all of ``old``, or an added cluster
+            or switch is held by someone else (rolled back first).
+        DefectError
+            If an added cluster is defective.
+        RegionError
+            If ``new`` leaves the fabric or the delta worm leaves it
+            partially chained.
+        """
+        for coord in old.path:
+            cluster = self.fabric.cluster(coord)
+            if cluster.owner != owner:
+                raise AllocationConflictError(
+                    f"cluster {coord} owned by {cluster.owner!r}, "
+                    f"not {owner!r}"
+                )
+        return self._rewire(old, new, owner)
+
+    def _rewire(
+        self, old: Optional[Region], new: Region, owner: Hashable
+    ) -> ScalingOperation:
+        """The one scaling worm: rewire ``owner`` from ``old`` (``None``:
+        no region) to ``new``.
+
+        Phase 1 (:meth:`_reserve`) checks the added clusters and plants a
+        reservation flag on every added edge's chain switch.  Phase 2
+        claims the added clusters, unchains the removed edges and chains
+        the added ones — through a worm whose payload flits carry the
+        added chain instructions when a router network is attached (a
+        head-only worm when there are none), by direct programming
+        otherwise — then clears the flags and frees the removed clusters.
+        A failed commit rolls the fabric back to exactly ``old``.
+        """
         op_id = next(self._op_ids)
-        worm_token = ("worm", op_id)
+        token = ("worm", op_id)
+        added: List[Edge] = new.edges()
+        added_coords: Sequence[Coord] = new.path
+        removed: List[Edge] = []
+        removed_coords: Sequence[Coord] = ()
+        if old is not None:
+            old_edges = old.edges()
+            kept = set(old_edges).intersection(added)
+            removed = [e for e in old_edges if e not in kept]
+            added = [e for e in added if e not in kept]
+            shared = set(old.path).intersection(new.path)
+            removed_coords = [c for c in old.path if c not in shared]
+            added_coords = [c for c in new.path if c not in shared]
         tracer = telemetry.tracer()
         tspan = None
         if tracer.enabled:
+            if old is None:
+                name = "wormhole.configure"
+                shape = {"clusters": len(new.path), "ring": new.ring}
+            else:
+                name = "wormhole.reconfigure"
+                shape = {"added_edges": len(added),
+                         "removed_edges": len(removed)}
             tspan = tracer.start(
-                "wormhole.configure", kind="reconfig", op_id=op_id,
-                owner=str(owner), head=str(region.path[0]),
-                clusters=len(region.path), ring=region.ring,
+                name, kind="reconfig", op_id=op_id, owner=str(owner),
+                head=str(new.path[0]), **shape,
             )
         try:
             with telemetry.scope("wormhole.reserve"), \
                     tracer.span("wormhole.reserve", kind="reconfig"):
-                self._reserve(region, worm_token)
+                self._reserve(added_coords, added, token)
                 if tracer.enabled:
                     tracer.advance()
         except WORM_FAILURES:
-            # a failed reserve already rolled its own flags back — only
-            # close the operation span, don't run the commit-side abort
+            # a failed reserve already released its own flags and
+            # programmed nothing — only close the operation span
             if tspan is not None:
                 tspan.end(status="error")
             raise
         try:
             with telemetry.scope("wormhole.commit"), \
                     tracer.span("wormhole.commit", kind="reconfig"):
+                for coord in added_coords:
+                    self.fabric.cluster(coord).allocate(owner)
+                self._program(removed, SwitchState.UNCHAINED)
                 if self.network is not None:
-                    # phase 2a: take ownership, then let the worm's payload
-                    # flits program the switches as they eject (§3.3)
-                    for coord in region.path:
-                        self.fabric.cluster(coord).allocate(owner)
-                    cycles, switches = self._deliver_worm(region)
-                    self._verify_chained(region)
-                    self._release_flags(region, worm_token)
+                    # the worm's payload flits program the switches as
+                    # they eject (§3.3); a lost flit shows in the verify
+                    cycles, switches = self._deliver_worm(new, added)
+                    self._verify_chained(new)
                 else:
-                    switches = self._commit(region, owner, worm_token)
-                    cycles = 0
+                    # every added edge is checked before any is chained,
+                    # so a fault never leaves the region half chained
+                    if self.faults is not None:
+                        for a, b in added:
+                            if self.faults.chain_switch_fault(a, b):
+                                raise FaultInjectionError(
+                                    f"chain switch {a}-{b} ignored its "
+                                    "programming"
+                                )
+                    self._program(added, SwitchState.CHAINED)
+                    cycles, switches = 0, len(added)
+                for a, b in added:
+                    self.fabric.chain_switch(a, b).release_reservation(token)
+                for coord in removed_coords:
+                    self.fabric.cluster(coord).free()
                 if tracer.enabled:
                     tracer.advance()
         except WORM_FAILURES:
@@ -168,31 +258,45 @@ class WormholeConfigurator:
             if tspan is not None:
                 tspan.add_event(
                     "wormhole.abort", op_id=op_id,
-                    region_head=str(region.path[0]),
+                    region_head=str(new.path[0]),
                 )
-            self._abort(region, worm_token)
+            # the worm retreats to the *old* wiring: undo the additions,
+            # restore the removals, keep shared clusters untouched
+            self._program(added, SwitchState.UNCHAINED)
+            for coord in added_coords:
+                cluster = self.fabric.cluster(coord)
+                if cluster.owner is not None:
+                    cluster.free()
+            self._program(removed, SwitchState.CHAINED)
+            for a, b in added:
+                self.fabric.chain_switch(a, b).release_reservation(token)
             if self.network is not None:
-                # the worm retreats: its dead flits leave the routers so
-                # a retry (or the next operation) sees clean transport
+                # its dead flits leave the routers so a retry (or the
+                # next operation) sees clean transport
                 self.network.purge()
             if tspan is not None:
                 tspan.end(status="error")
             raise
-        telemetry.counter("wormhole.configures").inc()
+        telemetry.counter(
+            "wormhole.configures" if old is None else "wormhole.reconfigures"
+        ).inc()
         telemetry.counter("wormhole.switches_programmed").inc(switches)
         if tspan is not None:
             tspan.set_attr("config_cycles", cycles)
             tspan.set_attr("switches_programmed", switches)
             tspan.end()
-        return ScalingOperation(op_id, owner, region, cycles, switches)
+        return ScalingOperation(op_id, owner, new, cycles, switches)
 
-    def _reserve(self, region: Region, token: Hashable) -> None:
-        """Phase 1: plant reservation flags; abort-and-rollback on conflict."""
-        taken: List[Tuple[Coord, Coord]] = []
+    def _reserve(
+        self, coords: Sequence[Coord], edges: List[Edge], token: Hashable
+    ) -> None:
+        """Phase 1: check the clusters, plant the edges' reservation
+        flags; on a failure release the flags taken and re-raise."""
+        taken: List[Edge] = []
         #: where the worm's head was when it hit trouble (span annotation)
         at = "start"
         try:
-            for coord in region.path:
+            for coord in coords:
                 at = f"cluster {coord}"
                 if coord not in self.fabric:
                     raise RegionError(f"cluster {coord} outside the fabric")
@@ -203,7 +307,7 @@ class WormholeConfigurator:
                     raise AllocationConflictError(
                         f"cluster {coord} owned by {cluster.owner!r}"
                     )
-            for a, b in region.edges():
+            for a, b in edges:
                 at = f"switch {a}-{b}"
                 self.fabric.chain_switch(a, b).reserve(token)
                 taken.append((a, b))
@@ -218,56 +322,24 @@ class WormholeConfigurator:
                 self.fabric.chain_switch(a, b).release_reservation(token)
             raise
 
-    def _commit(self, region: Region, owner: Hashable, token: Hashable) -> int:
-        """Phase 2: program switches, take ownership, clear flags."""
-        for coord in region.path:
-            self.fabric.cluster(coord).allocate(owner)
-        edges = region.edges()
-        if self.faults is not None:
-            for a, b in edges:
-                if self.faults.chain_switch_fault(a, b):
-                    raise FaultInjectionError(
-                        f"chain switch {a}-{b} ignored its programming"
-                    )
-        region.chain_on(self.fabric)
-        self._release_flags(region, token)
-        return len(edges)
-
-    def _abort(self, region: Region, token: Hashable) -> None:
-        """Roll back a failed commit: unchain any programmed switches,
-        free clusters, clear flags."""
-        if all(coord in self.fabric for coord in region.path):
-            region.unchain_on(self.fabric)  # unchaining twice is a no-op
-        for coord in region.path:
-            if coord in self.fabric:
-                cluster = self.fabric.cluster(coord)
-                if cluster.owner is not None:
-                    cluster.free()
-        self._release_flags(region, token)
-
-    def _release_flags(self, region: Region, token: Hashable) -> None:
-        for a, b in region.edges():
-            self.fabric.chain_switch(a, b).release_reservation(token)
+    def _program(self, edges: List[Edge], state: SwitchState) -> None:
+        """Set the chain and the stack-shift switch of every edge."""
+        for a, b in edges:
+            self.fabric.chain_switch(a, b).program(state)
+            self.fabric.shift_switch(a, b).program(state)
 
     def _deliver_worm(
-        self,
-        region: Region,
-        edges: Optional[List[Tuple[Coord, Coord]]] = None,
+        self, region: Region, edges: List[Edge]
     ) -> Tuple[int, int]:
         """Send the configuration worm whose payload flits *are* the
-        switch programming: each flit carries one chain instruction that
-        the destination cluster applies on ejection.
-
-        ``edges`` restricts the worm's payload to those chain
-        instructions (a delta rewire only ships the freshly-chained
-        edges); by default the worm programs the whole region.
+        switch programming: each flit carries one chain instruction
+        (one per edge of ``edges``) that the destination cluster applies
+        on ejection.  With no edges the worm is a lone head flit.
 
         Returns ``(delivery_cycles, switches_programmed)``.
         """
         assert self.network is not None
         start = self.network.cycle_count
-        if edges is None:
-            edges = region.edges()
         payloads: List[Tuple[str, Coord, Coord]] = [
             ("chain", a, b) for a, b in edges
         ]
@@ -318,141 +390,6 @@ class WormholeConfigurator:
                 f"configuration worm left region at {region.path[0]} "
                 "partially chained"
             )
-
-    # -- delta rewiring ------------------------------------------------------
-
-    def reconfigure(
-        self, old: Region, new: Region, owner: Hashable
-    ) -> ScalingOperation:
-        """Morph ``owner``'s region from ``old`` to ``new`` as a delta.
-
-        Unlike release-then-:meth:`configure`, only the *difference* is
-        touched: directed edges leaving the assignment are unchained
-        (direct clearing, §3.3 — no worm flits), freshly-added directed
-        edges are reserved then chained (one config-stream flit each when
-        a router network is attached), and only the added clusters are
-        claimed / removed clusters freed.  Clusters shared by both
-        assignments never leave ``owner``, so a failure mid-commit rolls
-        the fabric back to exactly the ``old`` wiring — the processor is
-        never left regionless.
-
-        Raises
-        ------
-        AllocationConflictError
-            If ``owner`` does not own all of ``old``, or an added cluster
-            or switch is held by someone else (rolled back first).
-        DefectError
-            If an added cluster is defective.
-        RegionError
-            If ``new`` leaves the fabric or the delta worm leaves it
-            partially chained.
-        """
-        for coord in old.path:
-            cluster = self.fabric.cluster(coord)
-            if cluster.owner != owner:
-                raise AllocationConflictError(
-                    f"cluster {coord} owned by {cluster.owner!r}, "
-                    f"not {owner!r}"
-                )
-        op_id = next(self._op_ids)
-        token = ("rewire", op_id)
-        old_edges = old.edges()
-        new_edges = new.edges()
-        removed = [e for e in old_edges if e not in set(new_edges)]
-        added = [e for e in new_edges if e not in set(old_edges)]
-        old_coords = set(old.path)
-        new_coords = set(new.path)
-        added_coords = [c for c in new.path if c not in old_coords]
-        removed_coords = [c for c in old.path if c not in new_coords]
-        tracer = telemetry.tracer()
-        tspan = None
-        if tracer.enabled:
-            tspan = tracer.start(
-                "wormhole.reconfigure", kind="reconfig", op_id=op_id,
-                owner=str(owner), head=str(new.path[0]),
-                added_edges=len(added), removed_edges=len(removed),
-            )
-        # phase 1: reserve the added edges' switches, validate added clusters
-        taken: List[Tuple[Coord, Coord]] = []
-        try:
-            for coord in added_coords:
-                if coord not in self.fabric:
-                    raise RegionError(f"cluster {coord} outside the fabric")
-                cluster = self.fabric.cluster(coord)
-                if cluster.defective:
-                    raise DefectError(f"cluster {coord} is defective")
-                if cluster.owner is not None:
-                    raise AllocationConflictError(
-                        f"cluster {coord} owned by {cluster.owner!r}"
-                    )
-            for a, b in added:
-                self.fabric.chain_switch(a, b).reserve(token)
-                taken.append((a, b))
-        except WORM_FAILURES:
-            for a, b in taken:
-                self.fabric.chain_switch(a, b).release_reservation(token)
-            if tspan is not None:
-                tspan.end(status="error")
-            raise
-        # phase 2: commit the delta
-        try:
-            for coord in added_coords:
-                self.fabric.cluster(coord).allocate(owner)
-            for a, b in removed:
-                self.fabric.chain_switch(a, b).unchain()
-                self.fabric.shift_switch(a, b).unchain()
-            if self.network is not None and added:
-                cycles, switches = self._deliver_worm(new, edges=added)
-            else:
-                if self.faults is not None:
-                    for a, b in added:
-                        if self.faults.chain_switch_fault(a, b):
-                            raise FaultInjectionError(
-                                f"chain switch {a}-{b} ignored its "
-                                "programming"
-                            )
-                for a, b in added:
-                    self.fabric.chain_switch(a, b).chain()
-                    self.fabric.shift_switch(a, b).chain()
-                cycles, switches = 0, len(added)
-            self._verify_chained(new)
-            for a, b in added:
-                self.fabric.chain_switch(a, b).release_reservation(token)
-            for coord in removed_coords:
-                self.fabric.cluster(coord).free()
-        except WORM_FAILURES:
-            telemetry.counter("wormhole.aborts").inc()
-            if tspan is not None:
-                tspan.add_event(
-                    "wormhole.abort", op_id=op_id,
-                    region_head=str(new.path[0]),
-                )
-            # the worm retreats to the *old* wiring: undo the additions,
-            # restore the removals, keep shared clusters untouched
-            for a, b in added:
-                self.fabric.chain_switch(a, b).unchain()
-                self.fabric.shift_switch(a, b).unchain()
-            for coord in added_coords:
-                cluster = self.fabric.cluster(coord)
-                if cluster.owner is not None:
-                    cluster.free()
-            for a, b in removed:
-                self.fabric.chain_switch(a, b).chain()
-                self.fabric.shift_switch(a, b).chain()
-            for a, b in added:
-                self.fabric.chain_switch(a, b).release_reservation(token)
-            if self.network is not None:
-                self.network.purge()
-            if tspan is not None:
-                tspan.end(status="error")
-            raise
-        telemetry.counter("wormhole.reconfigures").inc()
-        telemetry.counter("wormhole.switches_programmed").inc(switches)
-        if tspan is not None:
-            tspan.set_attr("config_cycles", cycles)
-            tspan.set_attr("switches_programmed", switches)
-            tspan.end()
-        return ScalingOperation(op_id, owner, new, cycles, switches)
 
     # -- down-scaling --------------------------------------------------------
 

@@ -16,7 +16,7 @@ plans the compaction first and rewires only the difference:
 * :mod:`repro.planner.scenarios` — the deterministic defrag scenario
   suite behind ``repro defrag`` and ``BENCH_planner.json``;
 * :mod:`repro.planner.report` — the canonical ``repro defrag`` report
-  (CI byte-compares ``--plan naive`` against ``--plan legacy`` with it).
+  (``--plan legacy`` or ``--plan minimal``).
 
 Both planners price the compaction schedule the planner-less
 :class:`repro.core.defrag.Defragmenter` executes —

@@ -3,11 +3,9 @@
 The executor is deliberately strict: each move must find the fabric in
 exactly the state the plan snapshot assumed (same owner, same region,
 still INACTIVE) — a stale plan raises :class:`PlannerError` instead of
-improvising.  Naive plans move through :func:`repro.core.defrag.relocate`,
-the release-then-reconfigure step (with rollback) the planner-less
-defragmenter runs; delta plans go through
-:meth:`WormholeConfigurator.reconfigure`.  Neither leaves a processor
-regionless.
+improvising.  Every move goes through
+:meth:`WormholeConfigurator.reconfigure`, which rolls a failed move back
+to its old region, so no processor is left regionless.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from typing import List
 
 from repro import telemetry
-from repro.core.defrag import MoveRecord, relocate
+from repro.core.defrag import MoveRecord
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import PlannerError
@@ -28,9 +26,8 @@ def execute_plan(vlsi: VLSIProcessor, plan: RewirePlan) -> List[MoveRecord]:
     """Apply ``plan`` to ``vlsi``, returning legacy-shaped move records.
 
     Put-backs are not part of any plan's move list (the naive plan only
-    *prices* them), so a naive plan's execution leaves the fabric in the
-    same state as the planner-less defragmenter without running its
-    redundant release/configure pairs.
+    *prices* them), so no move releases and re-configures a processor
+    in place.
     """
     records: List[MoveRecord] = []
     for move in plan.moves:
@@ -45,11 +42,8 @@ def execute_plan(vlsi: VLSIProcessor, plan: RewirePlan) -> List[MoveRecord]:
                 f"plan is stale: {move.name!r} is "
                 f"{instance.state.state.value}, not inactive"
             )
-        if plan.mode == "naive":
-            relocate(vlsi, move.name, move.old, move.new)
-        else:
-            vlsi.configurator.reconfigure(move.old, move.new, owner=move.name)
-            instance.region = move.new
+        vlsi.configurator.reconfigure(move.old, move.new, owner=move.name)
+        instance.region = move.new
         records.append(
             MoveRecord(
                 move.name, move.old.path[0], move.new.path[0], len(move.new)

@@ -8,8 +8,8 @@ still released (to widen the search) and configured straight back,
 paying a full unchain + rechain of its own region.
 
 ``plan.cost == plan.naive_cost`` by definition; the plan exists so the
-minimal planner has an honest baseline and so ``--plan naive`` can be
-byte-compared against the legacy execution path in CI.
+minimal planner has an honest baseline and the legacy ``repro defrag``
+report a cost ledger.
 """
 
 from __future__ import annotations

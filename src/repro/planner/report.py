@@ -1,15 +1,13 @@
 """Canonical defrag reports behind the ``repro defrag`` CLI.
 
 One report prices and executes a set of scenarios under one strategy
-(``legacy``, ``naive``, or ``minimal``) and serialises the outcome in a
-canonical shape: sorted keys, stable float derivations, a SHA-256 digest
-of the final layout.  The shape is strategy-agnostic on purpose — CI
-byte-compares the ``--plan naive`` report against the ``--plan legacy``
-one.  Both follow the one compaction schedule, so the comparison holds
-the two executors (``execute_plan`` running the naive plan's moves, the
-planner-less defragmenter relocating visit by visit) to the same moves,
-layout and cost ledger; a change to the schedule itself shows in the
-report digests the test suite pins.
+(``legacy`` or ``minimal``) and serialises the outcome in a canonical
+shape: sorted keys, stable float derivations, a SHA-256 digest of the
+final layout.  The legacy report runs the planner-less defragmenter
+visit by visit and prices it with the naive plan; the minimal one
+executes the minimal planner's delta moves.  The test suite pins both
+reports' digests, so a change to the compaction schedule, its execution
+or its pricing shows there.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ __all__ = ["REPORT_SCHEMA", "PLAN_CHOICES", "defrag_report", "report_json"]
 REPORT_SCHEMA = "repro.planner.report/1"
 
 #: Execution strategies ``repro defrag --plan`` accepts.
-PLAN_CHOICES = ("legacy", "naive", "minimal")
+PLAN_CHOICES = ("legacy", "minimal")
 
 
 def layout_digest(vlsi: VLSIProcessor) -> str:
@@ -66,18 +64,14 @@ def _run_scenario(
         moves: List[MoveRecord] = defrag.compact_until_stable(
             max_passes=max_passes
         )
-    else:
-        if plan == "naive":
-            defrag.planner = NaivePlanner()
-        elif plan == "minimal":
-            defrag.planner = MinimalPlanner(mode=mode)
-        else:
-            raise PlannerError(
-                f"unknown plan strategy {plan!r}; "
-                f"pick one of {PLAN_CHOICES}"
-            )
+    elif plan == "minimal":
+        defrag.planner = MinimalPlanner(mode=mode)
         moves = defrag.compact_until_stable(max_passes=max_passes)
         ledger = defrag.last_plan
+    else:
+        raise PlannerError(
+            f"unknown plan strategy {plan!r}; pick one of {PLAN_CHOICES}"
+        )
     entry = {
         "name": name,
         "description": SCENARIOS[name].description,

@@ -201,7 +201,7 @@ class TestPacketIds:
 
 
 def _scanned_in_flight(net):
-    return sum(r.occupancy() for r in net.routers.values()) + sum(
+    return sum(r.queued_flits() for r in net.routers.values()) + sum(
         len(b) for b in net._inject_backlog.values()
     )
 
@@ -268,22 +268,22 @@ class TestDrainCount:
 
 class TestNoRouterScans:
     """Host-independent guard on the O(1) drain check: delivering worms
-    reads no router's occupancy or idleness."""
+    reads no router's queued flits or idleness."""
 
     def test_worms_never_scan_routers(self, monkeypatch):
         reads = []
-        is_idle, occupancy = Router.is_idle, Router.occupancy
+        is_idle, queued_flits = Router.is_idle, Router.queued_flits
 
         def counted_idle(router):
             reads.append("is_idle")
             return is_idle.fget(router)
 
-        def counted_occupancy(router):
-            reads.append("occupancy")
-            return occupancy(router)
+        def counted_queued_flits(router):
+            reads.append("queued_flits")
+            return queued_flits(router)
 
         monkeypatch.setattr(Router, "is_idle", property(counted_idle))
-        monkeypatch.setattr(Router, "occupancy", counted_occupancy)
+        monkeypatch.setattr(Router, "queued_flits", counted_queued_flits)
         net = RouterNetwork(16, 16)
         for pid in range(50):
             packet = make_packet((0, 0), (pid % 16, 15 - pid % 16),

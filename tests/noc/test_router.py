@@ -33,9 +33,9 @@ class TestQueueStage:
 
     def test_idle_and_occupancy(self):
         r = Router((0, 0))
-        assert r.is_idle and r.occupancy() == 0
+        assert r.is_idle and r.queued_flits() == 0
         r.receive(Port.LOCAL, _flits((0, 0), (1, 0))[0])
-        assert not r.is_idle and r.occupancy() == 1
+        assert not r.is_idle and r.queued_flits() == 1
 
 
 class TestAllocation:

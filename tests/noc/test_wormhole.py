@@ -1,14 +1,17 @@
 """Unit tests for two-phase wormhole reconfiguration (section 3.3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.errors import AllocationConflictError, DefectError, RegionError
 from repro.noc.network import RouterNetwork
-from repro.noc.wormhole import WormholeConfigurator
-from repro.topology.regions import path_region, rectangle_region
+from repro.noc.wormhole import WORM_FAILURES, WormholeConfigurator
+from repro.topology.regions import Region, path_region, rectangle_region
 from repro.topology.rings import ring_region
 from repro.topology.s_topology import STopology
+from tests.planner.test_execute import _OneShotFault
 
 
 @pytest.fixture
@@ -158,3 +161,119 @@ class TestScalingSequence:
         # the untouched processors are unaffected
         assert fabric.cluster((0, 0)).owner == "P0"
         assert fabric.cluster((0, 2)).owner == "P1"
+
+
+class TestReconfigureTelemetry:
+    def test_conflict_counted_and_traced_under_reconfigure(self, fabric, cfg):
+        old = path_region([(0, 0), (0, 1)])
+        cfg.configure(old, owner="P1")
+        cfg.configure(path_region([(0, 3)]), owner="P2")
+        conflicts = telemetry.counter("wormhole.reserve.conflicts").value
+        tracer = telemetry.enable_tracing()
+        tracer.clear()
+        try:
+            with pytest.raises(AllocationConflictError):
+                cfg.reconfigure(
+                    old, path_region([(0, 1), (0, 2), (0, 3)]), owner="P1"
+                )
+            spans = tracer.spans
+        finally:
+            telemetry.enable_tracing(False)
+            tracer.clear()
+        assert (
+            telemetry.counter("wormhole.reserve.conflicts").value
+            == conflicts + 1
+        )
+        (root,) = [s for s in spans if s.name == "wormhole.reconfigure"]
+        assert root.status == "error"
+        (reserve,) = [s for s in spans if s.name == "wormhole.reserve"]
+        assert reserve.status == "error"
+        assert reserve.parent_id == root.span_id
+        (conflict,) = [
+            e for e in reserve.events if e.name == "wormhole.reserve.conflict"
+        ]
+        assert conflict.attrs["at"] == "cluster (0, 3)"
+        # nothing was taken, so nothing changed hands
+        assert fabric.cluster((0, 0)).owner == "P1"
+        assert fabric.cluster((0, 2)).is_free
+
+
+_STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
+
+@st.composite
+def _regions(draw, rows=4, cols=4):
+    """A random region of a ``rows`` x ``cols`` fabric: a rectangular
+    ring, or a self-avoiding walk that skips the steps it cannot take."""
+    if draw(st.booleans()):
+        height, width = draw(st.integers(2, rows)), draw(st.integers(2, cols))
+        origin = (
+            draw(st.integers(0, rows - height)),
+            draw(st.integers(0, cols - width)),
+        )
+        return ring_region(origin, height, width)
+    path = [(draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))]
+    for dr, dc in draw(st.lists(st.sampled_from(_STEPS), max_size=10)):
+        r, c = path[-1][0] + dr, path[-1][1] + dc
+        if 0 <= r < rows and 0 <= c < cols and (r, c) not in path:
+            path.append((r, c))
+    return Region(tuple(path))
+
+
+def _fabric_state(fabric):
+    """Every switch's programming and reservation flag, every cluster's
+    owner."""
+    switches = [
+        (s.endpoints, s.bidirectional, s.state, s.reserved_by)
+        for s in fabric.all_switches()
+    ]
+    return switches, [(c.coord, c.owner) for c in fabric.clusters()]
+
+
+def _twin(with_network):
+    fabric = STopology(4, 4)
+    network = RouterNetwork(4, 4) if with_network else None
+    return fabric, WormholeConfigurator(fabric, network=network)
+
+
+class TestOneWorm:
+    """``reconfigure(old, new)`` and release-then-``configure(new)`` must
+    program the same fabric, and a failed reconfigure leaves none of
+    its own traces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(old=_regions(), new=_regions(), with_network=st.booleans())
+    def test_delta_matches_release_then_configure(
+        self, old, new, with_network
+    ):
+        fabric, cfg = _twin(with_network)
+        twin_fabric, twin = _twin(with_network)
+        cfg.configure(old, owner="P")
+        cfg.reconfigure(old, new, owner="P")
+        twin.configure(old, owner="P")
+        twin.release(old, owner="P")
+        twin.configure(new, owner="P")
+        assert _fabric_state(fabric) == _fabric_state(twin_fabric)
+        assert fabric.chained_component(new.path[0]) == set(new.path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(old=_regions(), new=_regions(), with_network=st.booleans())
+    def test_failed_reconfigure_leaves_the_fabric_as_it_was(
+        self, old, new, with_network
+    ):
+        fabric, cfg = _twin(with_network)
+        cfg.configure(old, owner="P")
+        before = _fabric_state(fabric)
+        cfg.faults = _OneShotFault()
+        try:
+            cfg.reconfigure(old, new, owner="P")
+        except WORM_FAILURES:
+            assert _fabric_state(fabric) == before
+            if with_network:
+                assert cfg.network.is_drained()
+        else:
+            # no fault reached the commit, or the worm survived it
+            assert [c.coord for c in fabric.clusters() if c.owner] == sorted(
+                new.path
+            )
+            assert not any(s.is_reserved for s in fabric.all_switches())

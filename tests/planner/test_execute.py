@@ -6,12 +6,7 @@ from repro import telemetry
 from repro.core.defrag import Defragmenter
 from repro.core.scaling import ScalingController
 from repro.errors import FaultInjectionError, PlannerError
-from repro.planner import (
-    MinimalPlanner,
-    NaivePlanner,
-    build_scenario,
-    execute_plan,
-)
+from repro.planner import MinimalPlanner, build_scenario, execute_plan
 
 
 class _OneShotFault:
@@ -71,15 +66,6 @@ class TestRollback:
             assert chip.fabric.chained_component(
                 proc.region.path[0]
             ) == set(proc.region.path)
-
-    def test_naive_execution_rolls_back_on_fault(self):
-        chip = build_scenario("checkerboard")
-        plan = NaivePlanner().plan_compaction(chip)
-        before = _layout(chip)
-        chip.configurator.faults = _OneShotFault()
-        with pytest.raises(FaultInjectionError):
-            execute_plan(chip, plan)
-        assert _layout(chip) == before
 
 
 class TestAccounting:

@@ -1,10 +1,8 @@
 """The canonical ``repro defrag`` reports, pinned by digest.
 
 The planner-less defragmenter and both planners follow one compaction
-schedule, so byte-comparing the ``--plan naive`` report against the
-``--plan legacy`` one cannot see that schedule change.  These digests
-can: any change to visit order, target choice, layout or pricing moves
-them.
+schedule; any change to visit order, target choice, execution, layout
+or pricing moves these digests.
 """
 
 import hashlib

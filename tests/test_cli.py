@@ -13,6 +13,7 @@ import pytest
 from repro import __version__, telemetry
 from repro.__main__ import main
 from repro.telemetry import baseline
+from tests.planner.test_report import PINNED_SHA256 as PINNED_DEFRAG_SHA256
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -897,6 +898,23 @@ class TestChipCommand:
         out = capsys.readouterr().out
         assert "4x4 S-topology: 16 clusters" in out
         assert "minimum AP" in out
+
+
+class TestDefragCommand:
+    def test_naive_plan_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["defrag", "--plan", "naive", "--quiet"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'naive'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan", sorted(PINNED_DEFRAG_SHA256))
+    def test_report_matches_pinned(self, plan, capsys, tmp_path):
+        report = tmp_path / f"defrag-{plan}.json"
+        assert main([
+            "defrag", "--scenario", "all", "--plan", plan,
+            "--report", str(report), "--quiet",
+        ]) == 0
+        assert _sha256(report.read_bytes()) == PINNED_DEFRAG_SHA256[plan]
 
 
 class TestServiceLoadCommand:

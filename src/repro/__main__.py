@@ -447,6 +447,8 @@ def _cmd_serve(
     for flag, value in (("--port", port), ("--metrics-port", metrics_port)):
         if value is not None and not 0 <= value <= 65535:  # 0: ephemeral
             error = f"{flag} must lie in 0-65535, got {value}"
+    if max_tenants is not None and max_tenants < 1:
+        error = f"--max-tenants must be at least 1, got {max_tenants}"
     if error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
@@ -481,7 +483,7 @@ def _cmd_serve(
                 f"repro {__version__} serve: resident {rows}x{cols} "
                 f"fabric on {server.host}:{server.port} "
                 f"(max_tenants="
-                f"{max_tenants if max_tenants else 'unbounded'})"
+                f"{max_tenants or 'unbounded'})"
                 + (
                     f"  metrics on http://{endpoint.host}:"
                     f"{endpoint.port}/metrics"

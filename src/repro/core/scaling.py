@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.core.states import ProcessorState
 from repro.core.vlsi_processor import ProcessorInstance, VLSIProcessor
 from repro.topology.regions import Region, path_region
+from repro.topology.switches import SwitchState
 
 __all__ = ["ScalingController"]
 
@@ -93,8 +94,7 @@ class ScalingController:
             instance.last_config_cycles = op.config_cycles
             # chain the junction: old tail -> new head
             tail, head = instance.region.path[-1], extension[0]
-            self.vlsi.fabric.chain_switch(tail, head).chain()
-            self.vlsi.fabric.shift_switch(tail, head).chain()
+            self.vlsi.fabric.program(((tail, head),), SwitchState.CHAINED)
             instance.region = Region(instance.region.path + tuple(extension))
             if tracer.enabled:
                 tracer.instant(
@@ -171,11 +171,7 @@ class ScalingController:
             keep = instance.region.path[:-drop_clusters]
             dropped = instance.region.path[-drop_clusters:]
             # unchain the junction and the dropped sub-path, then free clusters
-            junction = (keep[-1], dropped[0])
-            self.vlsi.fabric.chain_switch(*junction).unchain()
-            self.vlsi.fabric.shift_switch(*junction).unchain()
-            if len(dropped) > 1:
-                self.vlsi.fabric.unchain_path(list(dropped))
+            self.vlsi.fabric.unchain_path(keep[-1:] + dropped)
             for coord in dropped:
                 self.vlsi.fabric.cluster(coord).free()
             instance.region = Region(keep)
@@ -212,8 +208,7 @@ class ScalingController:
             if tracer.enabled:
                 tracer.advance()
             # chain the junction and unify ownership
-            self.vlsi.fabric.chain_switch(tail, head).chain()
-            self.vlsi.fabric.shift_switch(tail, head).chain()
+            self.vlsi.fabric.program(((tail, head),), SwitchState.CHAINED)
             for coord in b.region.path:
                 cluster = self.vlsi.fabric.cluster(coord)
                 cluster.free()
@@ -261,8 +256,7 @@ class ScalingController:
             head_path = instance.region.path[:at]
             tail_path = instance.region.path[at:]
             junction = (head_path[-1], tail_path[0])
-            self.vlsi.fabric.chain_switch(*junction).unchain()
-            self.vlsi.fabric.shift_switch(*junction).unchain()
+            self.vlsi.fabric.program((junction,), SwitchState.UNCHAINED)
             del self.vlsi.processors[name]
             halves = []
             for new_name, path in ((head_name, head_path), (tail_name, tail_path)):

@@ -51,8 +51,8 @@ CSD_RETRYABLE: Tuple[Type[BaseException], ...] = (
 )
 
 #: What a failed scaling worm raises: a reservation conflict, a worm
-#: stalled to death by link faults, or a partially-programmed region
-#: detected by the post-delivery verify.
+#: stalled to death by link faults, or a worm that delivered fewer
+#: chain instructions than it carried.
 RECONFIG_RETRYABLE: Tuple[Type[BaseException], ...] = (
     AllocationConflictError,
     FaultInjectionError,

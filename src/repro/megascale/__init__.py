@@ -2,16 +2,13 @@
 
 The paper's Figure 3 stops at N = 256; pushing the same experiments an
 order of magnitude further needs the protocol's trial resolution off
-Python object graphs and onto machine words, flat arrays and
-closed-form schedules.  This package holds:
+Python object graphs and onto machine words and flat arrays.  This
+package holds:
 
 * :mod:`repro.megascale.kernel` — the CSD protocol's first-fit grant on
   per-channel segment bitmasks (:class:`VectorCSDKernel`), which
   resolves the sweep engine's trials, and the grant-log replay of the
   live sampler's probes (:class:`~repro.megascale.kernel.VectorSampler`);
-* :mod:`repro.megascale.noc_kernel` — the closed-form schedule of a
-  solo configuration worm (pure math, consulted by the router network's
-  express delivery path);
 * :mod:`repro.megascale.bench` — the live-vs-vector identity +
   speedup measurement backing ``BENCH_megascale.json``.
 
@@ -24,11 +21,8 @@ lockstep suite in ``tests/megascale/`` checks it against the live
 
 from repro.megascale.bench import measure_kernel_speedup
 from repro.megascale.kernel import VectorCSDKernel
-from repro.megascale.noc_kernel import WormSchedule, worm_schedule
 
 __all__ = [
     "VectorCSDKernel",
-    "WormSchedule",
-    "worm_schedule",
     "measure_kernel_speedup",
 ]

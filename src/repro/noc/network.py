@@ -5,6 +5,24 @@ packets at their source routers' LOCAL ports, steps the whole fabric one
 cycle at a time, and collects per-packet latency records.  XY routing on
 a mesh is deadlock-free, but the simulator still watches for global
 no-progress (a protocol bug would otherwise hang a test run).
+
+A worm travelling alone through a drained, unobserved, fault-free
+network is deterministic, and :meth:`RouterNetwork.deliver_express`
+delivers it without stepping.  Over ``h`` hops a worm of ``n`` flits
+pipelines when the input queues hold two flits or more, when it is one
+flit, or when it never leaves its source router: flit ``i`` ejects at
+cycle ``h + i``, nothing stalls, every flit moves ``h + 1`` times
+(``h`` links and the ejection), and the network sees itself drained one
+cycle after the last ejection, at ``h + n``.  With single-slot queues a
+multi-flit, multi-hop worm's body flit advances only into a slot that is
+already empty when its router commits.  Routers commit in row-major
+order, so whether a slot vacated in the same cycle counts depends on the
+route's direction through the grid: such a worm waits a cycle per body
+flit on a route with a hop toward a higher row-major coordinate and
+pipelines on the others.  That is an iteration-order detail, not
+protocol state, so those worms always step.  ``tests/noc/test_express.py``
+checks express delivery against stepping for every configuration of a
+4x4 grid with one to three flits and queues of one, two and four slots.
 """
 
 from __future__ import annotations
@@ -233,16 +251,16 @@ class RouterNetwork:
         """Whether a solo worm can be delivered by closed form instead of
         cycle stepping.
 
-        The closed-form schedule (:mod:`repro.megascale.noc_kernel`) is
-        exact only when nothing can perturb the cycle-by-cycle transport:
-        the network must be fully drained (no contention — a read of the
-        in-flight flit count, not a scan of the routers), no tracer span
-        per hop, no sampler (it samples the live queues every step), and
-        no fault injector that could stall a link (a pristine injector —
-        rate-0 plan, nothing quarantined — is fine: its hooks are no-ops).
+        The closed form (see the module docstring) holds only when
+        nothing can perturb the cycle-by-cycle transport: the network
+        must be fully drained (no contention — a read of the in-flight
+        flit count, not a scan of the routers), no tracer span per hop,
+        no sampler (it samples the live queues every step), and no fault
+        injector that could stall a link (a pristine injector — rate-0
+        plan, nothing quarantined — is fine: its hooks are no-ops).
 
-        When ``packet`` is given, additionally checks that *its* schedule
-        is exact — single-slot queues make multi-flit, multi-hop timing
+        When ``packet`` is given, additionally checks that *it*
+        pipelines — single-slot queues make multi-flit, multi-hop timing
         depend on router commit order, which only the stepped simulator
         reproduces.
         """
@@ -257,14 +275,16 @@ class RouterNetwork:
             return True
         if packet.src not in self.routers or packet.dst not in self.routers:
             return False  # let inject() raise the real error
-        from repro.megascale.noc_kernel import worm_schedule
+        return self._pipelines(packet)
 
-        return worm_schedule(
-            packet.src,
-            packet.dst,
-            len(packet),
-            self.routers[packet.src].queue_capacity,
-        ).exact
+    def _pipelines(self, packet: Packet) -> bool:
+        """Whether ``packet`` alone ejects one flit per cycle (the
+        module docstring's closed form)."""
+        return (
+            self.routers[packet.src].queue_capacity >= 2
+            or len(packet) == 1
+            or packet.src == packet.dst
+        )
 
     def deliver_express(self, packet: Packet, max_cycles: int = 100_000):
         """Deliver ``packet`` as if by :meth:`inject` +
@@ -275,7 +295,7 @@ class RouterNetwork:
         ``on_deliver`` hook order, each flit's corruption check, the
         :class:`DeliveryRecord` (``delivered_at`` included), the final
         ``cycle_count``, and the ``noc.cycles`` / ``noc.flit_moves`` /
-        ``noc.stalls`` / delivery counters.  Returns the delivery record.
+        delivery counters.  Returns the delivery record.
 
         The worm's flits never enter a queue, so the in-flight count
         stays untouched.
@@ -285,39 +305,34 @@ class RouterNetwork:
         RoutingError
             For the packets :meth:`inject` refuses.
         SimulationError
-            When the schedule takes more than ``max_cycles`` cycles —
-            the stepped run would have exhausted its cycle budget too.
+            When the worm does not pipeline (single-slot queues,
+            multi-flit, multi-hop), or takes more than ``max_cycles``
+            cycles — the stepped run would have exhausted its cycle
+            budget too.
         """
-        from repro.megascale.noc_kernel import worm_schedule
-
         self._check_packet(packet)
-        schedule = worm_schedule(
-            packet.src,
-            packet.dst,
-            len(packet),
-            self.routers[packet.src].queue_capacity,
-        )
-        if not schedule.exact:
+        if not self._pipelines(packet):
             raise SimulationError(
                 f"packet {packet.packet_id} has no exact express schedule "
                 "(single-slot queues, multi-flit, multi-hop) — "
                 "deliver it by stepping"
             )
-        start = self.cycle_count
-        if schedule.drain_at > max_cycles:
+        hops = manhattan(packet.src, packet.dst)
+        n_flits = len(packet)
+        drain = hops + n_flits
+        if drain > max_cycles:
             raise SimulationError(f"exceeded cycle budget {max_cycles}")
+        start = self.cycle_count
         self._inject_time[packet.packet_id] = start
         self._packet_meta[packet.packet_id] = packet
-        for flit, offset in zip(packet.flits, schedule.eject_offsets()):
+        for i, flit in enumerate(packet.flits):
             # _deliver stamps the record from cycle_count, and hooks may
             # read it: hold the clock at each flit's ejection cycle
-            self.cycle_count = start + offset
+            self.cycle_count = start + hops + i
             self._deliver(flit)
-        self.cycle_count = start + schedule.drain_at
-        telemetry.counter("noc.cycles").inc(schedule.drain_at)
-        telemetry.counter("noc.flit_moves").inc(schedule.flit_moves)
-        if schedule.stalls:
-            telemetry.counter("noc.stalls").inc(schedule.stalls)
+        self.cycle_count = start + drain
+        telemetry.counter("noc.cycles").inc(drain)
+        telemetry.counter("noc.flit_moves").inc(n_flits * (hops + 1))
         return self.delivered[-1]
 
     # -- delivery bookkeeping ----------------------------------------------
@@ -330,8 +345,8 @@ class RouterNetwork:
         )
         if corrupted:
             # the flit arrives but its payload (e.g. a switch-programming
-            # instruction) is lost — §3.3's verify step catches the
-            # partially-configured region and the worm is re-sent
+            # instruction) is lost — the configurator counts it missing,
+            # aborts the commit and the worm is re-sent
             telemetry.counter("noc.corrupted_flits").inc()
         elif self.on_deliver is not None:
             self.on_deliver(flit)

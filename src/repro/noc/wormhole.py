@@ -109,7 +109,8 @@ class WormholeConfigurator:
         self.origin = origin
         #: Optional :class:`repro.faults.FaultInjector`: a faulty chain
         #: switch silently ignores its programming instruction, which the
-        #: post-delivery verify turns into an abort-and-retreat.
+        #: commit's count of applied instructions turns into an
+        #: abort-and-retreat.
         self.faults = faults
         # per-configurator, not module-global: op and packet ids would
         # otherwise depend on import-time history and leak into trace
@@ -157,8 +158,8 @@ class WormholeConfigurator:
         DefectError
             If an added cluster is defective.
         RegionError
-            If ``new`` leaves the fabric or the delta worm leaves it
-            partially chained.
+            If ``new`` leaves the fabric or the delta worm lost a chain
+            instruction.
         """
         for coord in old.path:
             cluster = self.fabric.cluster(coord)
@@ -182,7 +183,9 @@ class WormholeConfigurator:
         added chain instructions when a router network is attached (a
         head-only worm when there are none), by direct programming
         otherwise — then clears the flags and frees the removed clusters.
-        A failed commit rolls the fabric back to exactly ``old``.
+        A worm that applied fewer chain instructions than it carried
+        fails the commit, and a failed commit rolls the fabric back to
+        exactly ``old``.
         """
         op_id = next(self._op_ids)
         token = ("worm", op_id)
@@ -229,12 +232,17 @@ class WormholeConfigurator:
                     tracer.span("wormhole.commit", kind="reconfig"):
                 for coord in added_coords:
                     self.fabric.cluster(coord).allocate(owner)
-                self._program(removed, SwitchState.UNCHAINED)
+                self.fabric.program(removed, SwitchState.UNCHAINED)
                 if self.network is not None:
                     # the worm's payload flits program the switches as
-                    # they eject (§3.3); a lost flit shows in the verify
+                    # they eject (§3.3); every lost instruction is one
+                    # edge missing from the applied count
                     cycles, switches = self._deliver_worm(new, added)
-                    self._verify_chained(new)
+                    if switches < len(added):
+                        raise RegionError(
+                            f"configuration worm to {new.path[0]} applied "
+                            f"{switches} of {len(added)} chain instructions"
+                        )
                 else:
                     # every added edge is checked before any is chained,
                     # so a fault never leaves the region half chained
@@ -245,7 +253,7 @@ class WormholeConfigurator:
                                     f"chain switch {a}-{b} ignored its "
                                     "programming"
                                 )
-                    self._program(added, SwitchState.CHAINED)
+                    self.fabric.program(added, SwitchState.CHAINED)
                     cycles, switches = 0, len(added)
                 for a, b in added:
                     self.fabric.chain_switch(a, b).release_reservation(token)
@@ -262,12 +270,12 @@ class WormholeConfigurator:
                 )
             # the worm retreats to the *old* wiring: undo the additions,
             # restore the removals, keep shared clusters untouched
-            self._program(added, SwitchState.UNCHAINED)
+            self.fabric.program(added, SwitchState.UNCHAINED)
             for coord in added_coords:
                 cluster = self.fabric.cluster(coord)
                 if cluster.owner is not None:
                     cluster.free()
-            self._program(removed, SwitchState.CHAINED)
+            self.fabric.program(removed, SwitchState.CHAINED)
             for a, b in added:
                 self.fabric.chain_switch(a, b).release_reservation(token)
             if self.network is not None:
@@ -322,12 +330,6 @@ class WormholeConfigurator:
                 self.fabric.chain_switch(a, b).release_reservation(token)
             raise
 
-    def _program(self, edges: List[Edge], state: SwitchState) -> None:
-        """Set the chain and the stack-shift switch of every edge."""
-        for a, b in edges:
-            self.fabric.chain_switch(a, b).program(state)
-            self.fabric.shift_switch(a, b).program(state)
-
     def _deliver_worm(
         self, region: Region, edges: List[Edge]
     ) -> Tuple[int, int]:
@@ -336,7 +338,9 @@ class WormholeConfigurator:
         (one per edge of ``edges``) that the destination cluster applies
         on ejection.  With no edges the worm is a lone head flit.
 
-        Returns ``(delivery_cycles, switches_programmed)``.
+        Returns ``(delivery_cycles, switches_programmed)``, the second
+        being the instructions applied: short of ``len(edges)`` by one
+        for every instruction a faulty switch or corrupted flit lost.
         """
         assert self.network is not None
         start = self.network.cycle_count
@@ -352,12 +356,11 @@ class WormholeConfigurator:
             kind, a, b = flit.payload
             if kind == "chain":
                 if self.faults is not None and self.faults.chain_switch_fault(a, b):
-                    # the switch ignored the instruction; the region ends
-                    # up partially chained and _verify_chained aborts
+                    # the switch ignored the instruction: it goes
+                    # uncounted, and the commit aborts on the short count
                     telemetry.counter("wormhole.switch_faults").inc()
                     return
-                self.fabric.chain_switch(a, b).chain()
-                self.fabric.shift_switch(a, b).chain()
+                self.fabric.program(((a, b),), SwitchState.CHAINED)
                 applied += 1
 
         previous_hook = self.network.on_deliver
@@ -380,16 +383,6 @@ class WormholeConfigurator:
             self.network.on_deliver = previous_hook
         cycles = (record.delivered_at - start) if record else 0
         return cycles, applied
-
-    def _verify_chained(self, region: Region) -> None:
-        """Post-condition of a delivered worm: the region is one chained
-        component (single-cluster regions are trivially so)."""
-        component = self.fabric.chained_component(region.path[0])
-        if not set(region.path) <= component:
-            raise RegionError(
-                f"configuration worm left region at {region.path[0]} "
-                "partially chained"
-            )
 
     # -- down-scaling --------------------------------------------------------
 

@@ -16,6 +16,7 @@ from typing import FrozenSet, List, Sequence, Tuple
 from repro.errors import RegionError
 from repro.topology.folding import serpentine_fold
 from repro.topology.s_topology import STopology
+from repro.topology.switches import SwitchState
 
 __all__ = ["Region", "path_region", "rectangle_region"]
 
@@ -77,19 +78,11 @@ class Region:
 
     def chain_on(self, fabric: STopology) -> None:
         """Program the fabric's switches to realise this region."""
-        fabric.chain_path(self.path)
-        if self.ring:
-            last, first = self.path[-1], self.path[0]
-            fabric.chain_switch(last, first).chain()
-            fabric.shift_switch(last, first).chain()
+        fabric.program(self.edges(), SwitchState.CHAINED)
 
     def unchain_on(self, fabric: STopology) -> None:
         """Split the region back into released clusters."""
-        fabric.unchain_path(self.path)
-        if self.ring:
-            last, first = self.path[-1], self.path[0]
-            fabric.chain_switch(last, first).unchain()
-            fabric.shift_switch(last, first).unchain()
+        fabric.program(self.edges(), SwitchState.UNCHAINED)
 
     def bounding_box(self) -> Tuple[Coord, Coord]:
         """``((min_row, min_col), (max_row, max_col))`` of the region."""

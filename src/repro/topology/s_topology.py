@@ -29,6 +29,7 @@ from repro.topology.folding import fold_path_is_adjacent, serpentine_order
 from repro.topology.switches import (
     BidirectionalSwitch,
     ProgrammableSwitch,
+    SwitchState,
     UnidirectionalSwitch,
 )
 
@@ -190,16 +191,28 @@ class STopology:
         path = list(path)
         if not fold_path_is_adjacent(path):
             raise TopologyError("chain path must step between adjacent clusters")
-        for a, b in zip(path, path[1:]):
-            self.chain_switch(a, b).chain()
-            self.shift_switch(a, b).chain()
+        self.program(zip(path, path[1:]), SwitchState.CHAINED)
 
     def unchain_path(self, path: Iterable[Coord]) -> None:
         """Undo :meth:`chain_path` (split the array back apart)."""
         path = list(path)
-        for a, b in zip(path, path[1:]):
-            self.chain_switch(a, b).unchain()
-            self.shift_switch(a, b).unchain()
+        self.program(zip(path, path[1:]), SwitchState.UNCHAINED)
+
+    def program(
+        self, edges: Iterable[Tuple[Coord, Coord]], state: SwitchState
+    ) -> None:
+        """Store ``state`` into each ``(a, b)`` edge's chain switch and
+        its ``a -> b`` stack-shift switch — the one switch-pair write
+        that chains, unchains and wormhole-configures a region (§3.2-3.3).
+
+        Raises
+        ------
+        TopologyError
+            If an edge does not join adjacent clusters of this grid.
+        """
+        for a, b in edges:
+            self.chain_switch(a, b).program(state)
+            self.shift_switch(a, b).program(state)
 
     def chained_component(self, start: Coord) -> Set[Coord]:
         """All clusters reachable from ``start`` over chained chain-switches.

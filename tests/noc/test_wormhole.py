@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
+from repro.core.scaling import ScalingController
+from repro.core.vlsi_processor import VLSIProcessor
 from repro.errors import AllocationConflictError, DefectError, RegionError
 from repro.noc.network import RouterNetwork
 from repro.noc.wormhole import WORM_FAILURES, WormholeConfigurator
@@ -277,3 +279,53 @@ class TestOneWorm:
                 new.path
             )
             assert not any(s.is_reserved for s in fabric.all_switches())
+
+
+class TestLostInstruction:
+    """A commit counts the chain instructions its worm applied: one lost
+    instruction aborts it, even where the region's other edges still
+    join its clusters into one chained component."""
+
+    def test_ring_missing_one_edge_aborts(self):
+        fabric, cfg = _twin(with_network=True)
+        cfg.faults = _OneShotFault()
+        with pytest.raises(RegionError, match="applied 3 of 4"):
+            cfg.configure(ring_region((0, 0), 2, 2), owner="R")
+        assert not any(
+            s.is_chained or s.is_reserved for s in fabric.all_switches()
+        )
+        assert not any(c.owner for c in fabric.clusters())
+        assert cfg.network.is_drained()
+
+    def test_closing_a_path_into_a_ring_aborts(self):
+        fabric, cfg = _twin(with_network=True)
+        ring = ring_region((0, 0), 2, 2)
+        path = path_region(ring.path)
+        cfg.configure(path, owner="R")
+        before = _fabric_state(fabric)
+        cfg.faults = _OneShotFault()
+        with pytest.raises(RegionError, match="applied 0 of 1"):
+            cfg.reconfigure(path, ring, owner="R")
+        # the path stays chained, its closing edge unchained, no flag set
+        assert _fabric_state(fabric) == before
+        assert not fabric.chain_switch(ring.path[-1], ring.path[0]).is_chained
+        assert cfg.network.is_drained()
+
+    def test_commit_walks_no_chained_component(self, monkeypatch):
+        walks = []
+        walk = STopology.chained_component
+
+        def counted_walk(fabric, start):
+            walks.append(start)
+            return walk(fabric, start)
+
+        monkeypatch.setattr(STopology, "chained_component", counted_walk)
+        fabric, cfg = _twin(with_network=True)
+        old = path_region([(0, 0), (0, 1)])
+        cfg.configure(old, owner="P")
+        cfg.reconfigure(old, path_region([(0, 0), (0, 1), (1, 1)]), owner="P")
+        cfg.configure(ring_region((2, 0), 2, 2), owner="R")
+        chip = VLSIProcessor(4, 4)
+        chip.create_processor("S", 2)
+        ScalingController(chip).up_scale("S", 2)
+        assert walks == []

@@ -707,9 +707,9 @@ class TestOutputPathErrors:
 
 class TestDieSizeErrors:
     """chip and serve reject a die without clusters, and serve a port
-    outside 0-65535, like every other bad argument: exit 2 with one
-    stderr line, before a fabric is built or (for serve) the event loop
-    that binds the port starts."""
+    outside 0-65535 or a tenant cap below 1, like every other bad
+    argument: exit 2 with one stderr line, before a fabric is built or
+    (for serve) the event loop that binds the port starts."""
 
     @pytest.mark.parametrize("argv", [
         ["chip", "--rows", "0"],
@@ -719,6 +719,8 @@ class TestDieSizeErrors:
         ["serve", "--port", "99999"],
         ["serve", "--port", "-5"],
         ["serve", "--metrics-port", "70000"],
+        ["serve", "--max-tenants", "0"],
+        ["serve", "--max-tenants", "-1"],
     ])
     def test_exits_2_with_one_line(self, argv, capsys, monkeypatch):
         import asyncio

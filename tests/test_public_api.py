@@ -88,3 +88,14 @@ class TestLayering:
     def test_csd_does_not_pull_noc(self):
         loaded = self._fresh_import("repro.csd")
         assert not any(m.startswith("repro.noc") for m in loaded)
+
+    def test_express_worm_pulls_no_megascale_or_csd(self):
+        self._fresh_import("repro.noc")
+        noc = sys.modules["repro.noc"]
+        net = noc.RouterNetwork(4, 4)
+        packet = noc.make_packet((0, 0), (2, 3), n_flits=3, packet_id=0)
+        assert net.express_eligible(packet)
+        net.deliver_express(packet)
+        assert not any(
+            m.startswith(("repro.megascale", "repro.csd")) for m in sys.modules
+        )

@@ -42,9 +42,9 @@ from repro.errors import (
 from repro.noc.flit import make_packet
 from repro.noc.network import RouterNetwork
 from repro.noc.routing_algos import xy_path
-from repro.topology.regions import Region
+from repro.topology.regions import Region, edge_delta
 from repro.topology.s_topology import STopology
-from repro.topology.switches import SwitchState
+from repro.topology.switches import BidirectionalSwitch, SwitchState
 
 __all__ = ["ScalingOperation", "WormholeConfigurator", "WORM_FAILURES"]
 
@@ -189,15 +189,12 @@ class WormholeConfigurator:
         """
         op_id = next(self._op_ids)
         token = ("worm", op_id)
-        added: List[Edge] = new.edges()
-        added_coords: Sequence[Coord] = new.path
-        removed: List[Edge] = []
-        removed_coords: Sequence[Coord] = ()
-        if old is not None:
-            old_edges = old.edges()
-            kept = set(old_edges).intersection(added)
-            removed = [e for e in old_edges if e not in kept]
-            added = [e for e in added if e not in kept]
+        if old is None:
+            removed, added = [], new.edges()
+            removed_coords: Sequence[Coord] = ()
+            added_coords: Sequence[Coord] = new.path
+        else:
+            removed, added = edge_delta(old, new)
             shared = set(old.path).intersection(new.path)
             removed_coords = [c for c in old.path if c not in shared]
             added_coords = [c for c in new.path if c not in shared]
@@ -218,7 +215,9 @@ class WormholeConfigurator:
         try:
             with telemetry.scope("wormhole.reserve"), \
                     tracer.span("wormhole.reserve", kind="reconfig"):
-                self._reserve(added_coords, added, token)
+                # each added edge's chain switch, looked up once for the
+                # reservation, its release and the rollback
+                flagged = self._reserve(added_coords, added, token)
                 if tracer.enabled:
                     tracer.advance()
         except WORM_FAILURES:
@@ -255,8 +254,8 @@ class WormholeConfigurator:
                                 )
                     self.fabric.program(added, SwitchState.CHAINED)
                     cycles, switches = 0, len(added)
-                for a, b in added:
-                    self.fabric.chain_switch(a, b).release_reservation(token)
+                for switch in flagged:
+                    switch.release_reservation(token)
                 for coord in removed_coords:
                     self.fabric.cluster(coord).free()
                 if tracer.enabled:
@@ -276,8 +275,8 @@ class WormholeConfigurator:
                 if cluster.owner is not None:
                     cluster.free()
             self.fabric.program(removed, SwitchState.CHAINED)
-            for a, b in added:
-                self.fabric.chain_switch(a, b).release_reservation(token)
+            for switch in flagged:
+                switch.release_reservation(token)
             if self.network is not None:
                 # its dead flits leave the routers so a retry (or the
                 # next operation) sees clean transport
@@ -297,15 +296,16 @@ class WormholeConfigurator:
 
     def _reserve(
         self, coords: Sequence[Coord], edges: List[Edge], token: Hashable
-    ) -> None:
+    ) -> List[BidirectionalSwitch]:
         """Phase 1: check the clusters, plant the edges' reservation
-        flags; on a failure release the flags taken and re-raise."""
-        taken: List[Edge] = []
-        #: where the worm's head was when it hit trouble (span annotation)
-        at = "start"
+        flags and return their chain switches in edge order; on a
+        failure release the flags taken and re-raise."""
+        taken: List[BidirectionalSwitch] = []
+        # where the worm's head is when it hits trouble: the span
+        # annotation is built from these only on a conflict
+        coord = edge = None
         try:
             for coord in coords:
-                at = f"cluster {coord}"
                 if coord not in self.fabric:
                     raise RegionError(f"cluster {coord} outside the fabric")
                 cluster = self.fabric.cluster(coord)
@@ -315,20 +315,23 @@ class WormholeConfigurator:
                     raise AllocationConflictError(
                         f"cluster {coord} owned by {cluster.owner!r}"
                     )
-            for a, b in edges:
-                at = f"switch {a}-{b}"
-                self.fabric.chain_switch(a, b).reserve(token)
-                taken.append((a, b))
+            for edge in edges:
+                switch = self.fabric.chain_switch(*edge)
+                switch.reserve(token)
+                taken.append(switch)
         except WORM_FAILURES as exc:
             if isinstance(exc, AllocationConflictError):
                 telemetry.counter("wormhole.reserve.conflicts").inc()
                 telemetry.instant(
-                    "wormhole.reserve.conflict", at=at,
+                    "wormhole.reserve.conflict",
+                    at=f"cluster {coord}" if edge is None
+                    else f"switch {edge[0]}-{edge[1]}",
                     flags_rolled_back=len(taken),
                 )
-            for a, b in taken:
-                self.fabric.chain_switch(a, b).release_reservation(token)
+            for switch in taken:
+                switch.release_reservation(token)
             raise
+        return taken
 
     def _deliver_worm(
         self, region: Region, edges: List[Edge]

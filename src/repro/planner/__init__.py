@@ -5,8 +5,9 @@ switches — yet the legacy defrag loop reprograms *entire* regions even
 when old and new assignments overlap almost completely.  This package
 plans the compaction first and rewires only the difference:
 
-* :mod:`repro.planner.cost` — directed-edge diffing and the
-  switch-write / config-flit cost model;
+* :mod:`repro.planner.cost` — the switch-write / config-flit cost
+  model, pricing each move from edge counts (its directed-edge delta,
+  :func:`repro.topology.regions.edge_delta`, for a delta move);
 * :mod:`repro.planner.naive` — the release-then-reconfigure baseline,
   priced honestly (including its put-back overhead);
 * :mod:`repro.planner.minimal` — the delta planner: greedy at scale, an
@@ -29,12 +30,11 @@ from repro.core.defrag import simulate_compaction
 from repro.planner.execute import execute_plan
 from repro.planner.minimal import MinimalPlanner
 from repro.planner.naive import NaivePlanner
-from repro.planner.plan import RegionMove, RewireCost, RewirePlan, SwitchOp
+from repro.planner.plan import RegionMove, RewireCost, RewirePlan
 from repro.planner.report import defrag_report, report_json
 from repro.planner.scenarios import SCENARIOS, build_scenario, scenario_names
 
 __all__ = [
-    "SwitchOp",
     "RewireCost",
     "RegionMove",
     "RewirePlan",

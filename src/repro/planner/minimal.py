@@ -1,10 +1,10 @@
 """The minimal-rewiring planner: compaction as directed-edge deltas.
 
 Given the same compaction demand as the legacy loop, it produces a
-:class:`RewirePlan` whose switch-op sequences are **directed-edge
-deltas**: only the switches whose state actually differs between the old
-and new assignment are written, and only the freshly-chained edges ship
-a config-stream flit.  It never pays the legacy loop's put-back overhead
+:class:`RewirePlan` whose moves are priced as **directed-edge deltas**:
+only the switches whose state actually differs between the old and new
+assignment are written, and only the freshly-chained edges ship a
+config-stream flit.  It never pays the legacy loop's put-back overhead
 because planning is a pure function of the snapshot — nothing is
 released just to widen a search.
 

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from repro.core.defrag import CompactionSchedule, simulate_compaction
 from repro.core.vlsi_processor import VLSIProcessor
-from repro.planner.cost import (
-    full_chain_ops,
-    full_unchain_ops,
-    ops_cost,
-    putback_cost,
-)
+from repro.planner.cost import naive_move_cost, putback_cost
 from repro.planner.plan import RegionMove, RewireCost, RewirePlan
 
 __all__ = ["NaivePlanner", "price_schedule"]
@@ -36,11 +31,8 @@ def price_schedule(schedule: CompactionSchedule) -> RewirePlan:
         if not visit.moved:
             overhead = overhead + putback_cost(visit.old)
             continue
-        ops = full_unchain_ops(visit.old) + full_chain_ops(visit.new)
-        cost = ops_cost(ops)
-        moves.append(
-            RegionMove(visit.name, visit.old, visit.new, ops, cost, cost)
-        )
+        cost = naive_move_cost(visit.old, visit.new)
+        moves.append(RegionMove(visit.name, visit.old, visit.new, cost, cost))
     total = sum((move.cost for move in moves), overhead)
     return RewirePlan(
         moves=tuple(moves),

@@ -1,12 +1,14 @@
 """Rewire plans: the data a reconfiguration planner produces.
 
 A :class:`RewirePlan` is an ordered list of :class:`RegionMove`\\ s, each
-carrying the exact programmable-switch operations (:class:`SwitchOp`)
-that morph one processor's region into its target, plus the predicted
-:class:`RewireCost` of executing them.  The executor
+naming one processor's relocation from its region to its target, priced
+as a :class:`RewireCost`.  The executor
 (:func:`repro.planner.execute.execute_plan`) replays the moves in plan
-order; the cost model (:mod:`repro.planner.cost`) guarantees the
-prediction matches what the fabric actually pays.
+order through :meth:`WormholeConfigurator.reconfigure`, which derives
+the same directed-edge delta
+(:func:`repro.topology.regions.edge_delta`) the cost model
+(:mod:`repro.planner.cost`) priced, so the prediction matches what the
+fabric actually pays.
 """
 
 from __future__ import annotations
@@ -16,30 +18,7 @@ from typing import Any, Dict, Tuple
 
 from repro.topology.regions import Region
 
-__all__ = ["SwitchOp", "RewireCost", "RegionMove", "RewirePlan"]
-
-Coord = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SwitchOp:
-    """One programmable-switch operation on the directed edge ``a -> b``.
-
-    ``kind`` is ``"chain"`` or ``"unchain"``.  Every op programs both
-    the bidirectional chain switch and the unidirectional stack-shift
-    switch of the edge — two register writes (section 3.2/3.3).
-    """
-
-    kind: str
-    a: Coord
-    b: Coord
-
-    #: Register writes per op: the chain switch plus the shift switch.
-    WRITES = 2
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("chain", "unchain"):
-            raise ValueError(f"unknown switch op kind {self.kind!r}")
+__all__ = ["RewireCost", "RegionMove", "RewirePlan"]
 
 
 @dataclass(frozen=True)
@@ -83,15 +62,13 @@ class RewireCost:
 class RegionMove:
     """One planned relocation: ``name``'s region morphs ``old -> new``.
 
-    ``ops`` are the switch operations in apply order; ``cost`` is their
-    predicted price and ``naive_cost`` what the release-then-reconfigure
-    path would pay for the same relocation.
+    ``cost`` is its predicted price and ``naive_cost`` what the
+    release-then-reconfigure path would pay for the same relocation.
     """
 
     name: str
     old: Region
     new: Region
-    ops: Tuple[SwitchOp, ...]
     cost: RewireCost
     naive_cost: RewireCost
 

@@ -18,9 +18,10 @@ from repro.topology.folding import serpentine_fold
 from repro.topology.s_topology import STopology
 from repro.topology.switches import SwitchState
 
-__all__ = ["Region", "path_region", "rectangle_region"]
+__all__ = ["Region", "edge_delta", "path_region", "rectangle_region"]
 
 Coord = Tuple[int, int]
+Edge = Tuple[Coord, Coord]
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Region:
         if self.ring and len(self.path) < 4:
             raise RegionError("a ring needs at least four clusters on a grid")
 
-    def edges(self) -> List[Tuple[Coord, Coord]]:
+    def edges(self) -> List[Edge]:
         """The region's directed wiring, one ``(a, b)`` per chain switch
         it programs: the consecutive path pairs in path order, then the
         ring-closing edge when the region is a ring."""
@@ -89,6 +90,24 @@ class Region:
         rows = [r for r, _ in self.path]
         cols = [c for _, c in self.path]
         return (min(rows), min(cols)), (max(rows), max(cols))
+
+
+def edge_delta(old: Region, new: Region) -> Tuple[List[Edge], List[Edge]]:
+    """The directed-edge delta that morphs ``old``'s wiring into
+    ``new``'s: ``(removed, added)``, each in its own region's edge order.
+
+    Stack-shift switches are unidirectional, so a reversed segment is
+    both removed and added although it touches the same switch pairs.
+    The planner prices a move from this delta and the wormhole
+    configurator unchains ``removed`` and chains ``added`` — one
+    computation, so the price and the stores cannot disagree.
+    """
+    old_edges, new_edges = old.edges(), new.edges()
+    kept = set(old_edges).intersection(new_edges)
+    return (
+        [edge for edge in old_edges if edge not in kept],
+        [edge for edge in new_edges if edge not in kept],
+    )
 
 
 def path_region(path: Sequence[Coord], ring: bool = False) -> Region:

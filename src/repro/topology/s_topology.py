@@ -21,7 +21,7 @@ This satisfies the three properties section 3.1 demands of the topology:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.cluster import Cluster, ClusterResources
@@ -36,6 +36,7 @@ from repro.topology.switches import (
 __all__ = ["STopology"]
 
 Coord = Tuple[int, int]
+Edge = Tuple[Coord, Coord]
 
 
 class STopology:
@@ -72,16 +73,25 @@ class STopology:
             for r in range(rows)
             for c in range(cols)
         }
-        # chain network: one bidirectional switch per undirected adjacency
-        self._chain_switches: Dict[FrozenSet[Coord], BidirectionalSwitch] = {}
+        # chain network: one bidirectional switch per undirected adjacency,
+        # reachable from both orientations and oriented as first seen
+        chains: Dict[Edge, BidirectionalSwitch] = {}
+        unique_chains: List[BidirectionalSwitch] = []
         # stack-shift network: one unidirectional switch per ordered adjacency
-        self._shift_switches: Dict[Tuple[Coord, Coord], UnidirectionalSwitch] = {}
+        shifts: Dict[Edge, UnidirectionalSwitch] = {}
         for coord in self._clusters:
             for nbr in self.neighbors(coord):
-                key = frozenset((coord, nbr))
-                if key not in self._chain_switches:
-                    self._chain_switches[key] = BidirectionalSwitch((coord, nbr))
-                self._shift_switches[(coord, nbr)] = UnidirectionalSwitch((coord, nbr))
+                edge = (coord, nbr)
+                if edge not in chains:
+                    switch = chains[edge] = chains[nbr, coord] = (
+                        BidirectionalSwitch(edge)
+                    )
+                    unique_chains.append(switch)
+                shifts[edge] = UnidirectionalSwitch(edge)
+        self._chain_switches = chains
+        self._shift_switches = shifts
+        #: Every chain switch once, in row-major first-seen order.
+        self._unique_chains: Tuple[BidirectionalSwitch, ...] = tuple(unique_chains)
 
     # -- structural queries ---------------------------------------------------
 
@@ -143,7 +153,7 @@ class STopology:
     def chain_switch(self, a: Coord, b: Coord) -> BidirectionalSwitch:
         """The chain-network switch between adjacent clusters ``a`` and ``b``."""
         try:
-            return self._chain_switches[frozenset((a, b))]
+            return self._chain_switches[a, b]
         except KeyError:
             raise TopologyError(f"no chain switch between {a} and {b}") from None
 
@@ -155,13 +165,13 @@ class STopology:
             raise TopologyError(f"no shift switch {src} -> {dst}") from None
 
     def all_switches(self) -> Iterator[ProgrammableSwitch]:
-        yield from self._chain_switches.values()
+        yield from self._unique_chains
         yield from self._shift_switches.values()
 
     def switch_count(self) -> Tuple[int, int]:
         """``(chain, shift)`` switch counts — regular by construction:
         one chain switch per grid edge, two shift switches per grid edge."""
-        return len(self._chain_switches), len(self._shift_switches)
+        return len(self._unique_chains), len(self._shift_switches)
 
     def chain_switch_states(self) -> Dict[str, int]:
         """Programming-register value of every chain switch, keyed by a
@@ -170,8 +180,8 @@ class STopology:
         CHAINED, 0 = UNCHAINED.  Deterministically ordered so exported
         heatmaps are byte-stable."""
         states: Dict[str, int] = {}
-        for key, switch in self._chain_switches.items():
-            a, b = sorted(key)
+        for switch in self._unique_chains:
+            a, b = sorted(switch.endpoints)
             label = f"r{a[0]}c{a[1]}-r{b[0]}c{b[1]}"
             states[label] = 1 if switch.is_chained else 0
         return dict(sorted(states.items()))
@@ -210,9 +220,17 @@ class STopology:
         TopologyError
             If an edge does not join adjacent clusters of this grid.
         """
+        if not isinstance(state, SwitchState):
+            raise TypeError("state must be a SwitchState")
+        chain, shift = self._chain_switches, self._shift_switches
         for a, b in edges:
-            self.chain_switch(a, b).program(state)
-            self.shift_switch(a, b).program(state)
+            try:
+                chain[a, b].state = state
+            except KeyError:
+                raise TopologyError(
+                    f"no chain switch between {a} and {b}"
+                ) from None
+            shift[a, b].state = state
 
     def chained_component(self, start: Coord) -> Set[Coord]:
         """All clusters reachable from ``start`` over chained chain-switches.

@@ -199,6 +199,25 @@ class TestReconfigureTelemetry:
         assert fabric.cluster((0, 0)).owner == "P1"
         assert fabric.cluster((0, 2)).is_free
 
+    def test_switch_conflict_names_the_switch(self, fabric, cfg):
+        fabric.chain_switch((0, 2), (0, 1)).reserve("another worm")
+        tracer = telemetry.enable_tracing()
+        tracer.clear()
+        try:
+            with pytest.raises(AllocationConflictError):
+                cfg.configure(path_region([(0, 0), (0, 1), (0, 2)]), "P1")
+            spans = tracer.spans
+        finally:
+            telemetry.enable_tracing(False)
+            tracer.clear()
+        (reserve,) = [s for s in spans if s.name == "wormhole.reserve"]
+        (conflict,) = [
+            e for e in reserve.events if e.name == "wormhole.reserve.conflict"
+        ]
+        assert conflict.attrs["at"] == "switch (0, 1)-(0, 2)"
+        assert conflict.attrs["flags_rolled_back"] == 1
+        assert not fabric.chain_switch((0, 0), (0, 1)).is_reserved
+
 
 _STEPS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -329,3 +348,35 @@ class TestLostInstruction:
         chip.create_processor("S", 2)
         ScalingController(chip).up_scale("S", 2)
         assert walks == []
+
+
+class TestSwitchLookups:
+    """Host-independent guard: a worm looks each added edge's chain
+    switch up once, for its reservation flag, the flag's release and
+    the rollback; programming stores through no lookup."""
+
+    @pytest.mark.parametrize("with_network", [False, True])
+    def test_one_chain_switch_lookup_per_added_edge(
+        self, monkeypatch, with_network
+    ):
+        lookups = []
+        lookup = STopology.chain_switch
+
+        def counted_lookup(fabric, a, b):
+            lookups.append((a, b))
+            return lookup(fabric, a, b)
+
+        monkeypatch.setattr(STopology, "chain_switch", counted_lookup)
+        fabric, cfg = _twin(with_network)
+        ring = ring_region((0, 0), 3, 3)
+        op = cfg.configure(ring, owner="R")
+        assert len(lookups) <= op.switches_programmed == 8
+        lookups.clear()
+        op = cfg.reconfigure(ring, path_region(ring.path), owner="R")
+        cfg.release(path_region(ring.path), owner="R")
+        assert len(lookups) <= op.switches_programmed == 0
+        cfg.faults = _OneShotFault()
+        with pytest.raises(WORM_FAILURES):
+            cfg.configure(ring, owner="R")
+        assert len(lookups) <= len(ring.edges())
+        assert not any(s.is_reserved for s in fabric.all_switches())

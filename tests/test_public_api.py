@@ -66,6 +66,19 @@ class TestErrorHierarchy:
 class TestLayering:
     """The dependency directions DESIGN.md promises."""
 
+    @pytest.fixture(autouse=True)
+    def _restore_repro_modules(self):
+        """Put the original ``repro`` modules back after each fresh
+        import, so later tests do not run against a second copy of the
+        package (a second telemetry registry, a second ``ProcessorState``)."""
+        saved = {m: mod for m, mod in sys.modules.items() if m.startswith("repro")}
+        try:
+            yield
+        finally:
+            for mod in [m for m in sys.modules if m.startswith("repro")]:
+                del sys.modules[mod]
+            sys.modules.update(saved)
+
     def _fresh_import(self, name):
         for mod in list(sys.modules):
             if mod.startswith("repro"):

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.cluster import ClusterResources
 from repro.topology.s_topology import STopology
+from repro.topology.switches import SwitchState
 
 
 @pytest.fixture
@@ -75,6 +76,20 @@ class TestSwitchRegularity:
     def test_all_switches_default_unchained(self, fabric):
         assert all(not sw.is_chained for sw in fabric.all_switches())
 
+    def test_each_chain_switch_listed_once_oriented_row_major(self, fabric):
+        chain, shift = fabric.switch_count()
+        switches = list(fabric.all_switches())
+        assert len(switches) == chain + shift
+        chains = [sw for sw in switches if sw.bidirectional]
+        assert len({id(sw) for sw in chains}) == chain
+        # each keeps the orientation it was first seen in, row-major
+        assert all(sw.endpoints[0] < sw.endpoints[1] for sw in chains)
+        assert all(
+            fabric.chain_switch(*sw.endpoints)
+            is fabric.chain_switch(*reversed(sw.endpoints)) is sw
+            for sw in chains
+        )
+
 
 class TestFractalProperty:
     """Section 3.1 property 1: hierarchical / fractal structure."""
@@ -100,6 +115,13 @@ class TestChaining:
     def test_chain_path_rejects_jump(self, fabric):
         with pytest.raises(TopologyError):
             fabric.chain_path([(0, 0), (2, 0)])
+
+    def test_program_rejects_non_adjacent_edge_and_non_state(self, fabric):
+        with pytest.raises(TopologyError):
+            fabric.program([((0, 0), (0, 2))], SwitchState.CHAINED)
+        with pytest.raises(TypeError):
+            fabric.program([((0, 0), (0, 1))], 1)
+        assert not any(sw.is_chained for sw in fabric.all_switches())
 
     def test_unchain_path_reverts(self, fabric):
         path = [(0, 0), (0, 1), (0, 2)]
